@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InfeasibleDesign, NoSolutionFound, SingularSystem
 from .games import TOL_NONNEG, ActionProfile, AdjacencyMatrix, NetworkGame, _as_vector
-from .equilibrium import solve_ne_interior, solve_ne_pg, solve_social_interior
+from .equilibrium import _norm_inf, solve_ne_interior, solve_ne_pg, solve_social_interior
 
 DESIGN_TOL = 1e-8
 RANK_TOL = 1e-10
@@ -107,11 +107,6 @@ class DeterminantReport:
     det: float
     singular: bool
     rank: int
-
-
-def _norm_inf(v) -> float:
-    v = np.asarray(v)
-    return float(np.max(np.abs(v))) if v.size else 0.0
 
 
 def check_coincidence(game: NetworkGame, tol: float = DESIGN_TOL) -> CoincidenceCheck:
@@ -383,6 +378,5 @@ def pg_coincidence(game, tol: float = DESIGN_TOL) -> PgCoincidenceCheck:
     if not game.gamma.is_affine:
         raise ValueError("pg_coincidence requires an affine gamma family")
     x = solve_ne_pg(game, tol=min(tol, 1e-10)).x.x
-    v = np.diag(1.0 - game.gamma.d)
-    residual = _norm_inf(v @ (game.adjacency.g.T @ x))
+    residual = _norm_inf((1.0 - game.gamma.d) * (game.adjacency.g.T @ x))
     return PgCoincidenceCheck(holds=residual <= tol, x=ActionProfile(x), residual=residual)

@@ -1,9 +1,11 @@
 """Equilibrium and social-optimum solvers.
 
 Interior solutions come from dense linear solves of ``(I+G)x = a`` and
-``(I+G+G^T)y = a``.  On the nonnegative orthant the solution concept is the
-variational inequality VI(R_{>=0}^n, F); ``solve_vi`` reaches it by projected
-fixed-point iteration.  Public-goods games get the analogous fixed points.
+``(I+G+G^T)y = a`` in ``solve_linear``, where one inverse gives the exact
+1-norm reciprocal condition, the solution and every refinement step.  On the
+nonnegative orthant the solution concept is the variational inequality
+VI(R_{>=0}^n, F); ``solve_vi`` reaches it by projected fixed-point iteration.
+Public-goods games get the analogous fixed points.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from .games import (
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100_000
-# Reciprocal condition estimate below this means the system is treated as singular.
+# Exact 1-norm reciprocal condition 1/(||M||_1 ||M^-1||_1) below this means the
+# system is treated as singular.  Since kappa_2/n <= kappa_1 <= n*kappa_2, the cut
+# sits within a factor n of the same threshold on the 2-norm condition number.
 RCOND_MIN = 1e-12
 
 INTERIOR_KINDS = ("interior-ne", "interior-social")
@@ -59,29 +63,37 @@ def _norm_inf(v) -> float:
     return float(np.max(np.abs(v))) if v.size else 0.0
 
 
-def solve_linear(m: np.ndarray, b: np.ndarray, residual_target: float) -> np.ndarray:
-    """Dense partial-pivoted solve with iterative refinement.
+def _inverse(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """Inverse of ``m`` and its exact 1-norm reciprocal condition.
 
-    Raises SingularSystem when the reciprocal condition estimate falls below
-    RCOND_MIN or the refined residual cannot meet ``residual_target``.
+    Raises SingularSystem when ``m`` is exactly singular or the reciprocal
+    condition ``1/(||M||_1 ||M^-1||_1)`` is below RCOND_MIN or not finite.
     """
     try:
-        cond = np.linalg.cond(m)
+        inv = np.linalg.inv(m)
     except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"condition estimate failed: {exc}") from exc
-    if not np.isfinite(cond) or 1.0 / cond < RCOND_MIN:
-        raise SingularSystem(
-            f"system is numerically singular (rcond ~ {0.0 if not np.isfinite(cond) else 1.0 / cond:.2e})"
-        )
-    x = np.linalg.solve(m, b)
-    for _ in range(5):
+        raise SingularSystem(f"system is exactly singular: {exc}") from exc
+    rcond = 1.0 / (np.linalg.norm(m, 1) * np.linalg.norm(inv, 1))
+    if not rcond >= RCOND_MIN:  # a non-finite inverse gives rcond 0 or nan
+        raise SingularSystem(f"system is numerically singular (rcond = {rcond:.2e})")
+    return inv, rcond
+
+
+def solve_linear(m: np.ndarray, b: np.ndarray, residual_target: float) -> np.ndarray:
+    """Dense solve ``x = M^-1 b`` refined by up to 5 steps ``x += M^-1 r``.
+
+    One inverse serves the condition check, the solve and every refinement.
+    Raises SingularSystem when ``_inverse`` does or the refined residual
+    cannot meet ``residual_target``.
+    """
+    inv, _ = _inverse(m)
+    x = inv @ b
+    for _ in range(6):  # the solve, then up to 5 refinement steps
         r = b - m @ x
         if _norm_inf(r) <= residual_target:
             return x
-        x = x + np.linalg.solve(m, r)
-    if _norm_inf(b - m @ x) > residual_target:
-        raise SingularSystem("iterative refinement could not meet the residual target")
-    return x
+        x = x + inv @ r
+    raise SingularSystem("iterative refinement could not meet the residual target")
 
 
 def _interior_result(m, b, mapping_residual, kind) -> EquilibriumResult:
@@ -220,22 +232,16 @@ def solve_ne_pg(
     n = game.n
     if game.gamma.is_affine:
         d = game.gamma.d
-        m = np.eye(n) + (np.eye(n) - np.diag(d)) @ g
+        m = np.eye(n) + (1.0 - d)[:, None] * g
         b = game.gamma.c + d * game.theta
         x = solve_linear(m, b, tol * (1.0 + _norm_inf(b)))
     else:
-        ig = np.eye(n) + g
-        try:
-            cond = np.linalg.cond(ig)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(f"condition estimate failed: {exc}") from exc
-        if not np.isfinite(cond) or 1.0 / cond < RCOND_MIN:
-            raise SingularSystem("(I+G) is numerically singular")
+        inv, _ = _inverse(np.eye(n) + g)
         x = np.zeros(n)
         for _ in range(max_iters):
             if _pg_ne_residual(game, x) <= tol:
                 break
-            x = np.linalg.solve(ig, game.gamma.value(game.theta + g @ x))
+            x = inv @ game.gamma.value(game.theta + g @ x)
         else:
             raise NoConvergence(
                 f"fixed-point iteration did not reach tol={tol:g} "
@@ -253,8 +259,8 @@ def solve_ne_pg(
 def solve_social_pg(game: PublicGoodsGame, tol: float = DEFAULT_TOL) -> EquilibriumResult:
     """Public-goods social optimum for affine gamma.
 
-    Solves ``(I + V G^T + (I - diag(d)) G) y = c + d*theta`` with
-    V = diag(1 - d).  Custom families are not supported: the transpose-term
+    Solves ``(I + V (G + G^T)) y = c + d*theta`` with V = diag(1 - d), built
+    as a row scale.  Custom families are not supported: the transpose-term
     weights depend on the derivative at the unknown solution.
     """
     if not game.gamma.is_affine:
@@ -262,12 +268,12 @@ def solve_social_pg(game: PublicGoodsGame, tol: float = DEFAULT_TOL) -> Equilibr
     g = game.adjacency.g
     n = game.n
     d = game.gamma.d
-    v = np.diag(1.0 - d)
-    m = np.eye(n) + v @ g.T + (np.eye(n) - np.diag(d)) @ g
+    v = 1.0 - d
+    m = np.eye(n) + v[:, None] * (g + g.T)
     b = game.gamma.c + d * game.theta
     y = solve_linear(m, b, tol * (1.0 + _norm_inf(b)))
     z = g @ y
-    res = _norm_inf(y + v @ (g.T @ y) + z - game.gamma.value(game.theta + z))
+    res = _norm_inf(y + v * (g.T @ y) + z - game.gamma.value(game.theta + z))
     return EquilibriumResult(
         x=ActionProfile(y),
         kind="pg-social",

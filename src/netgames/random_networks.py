@@ -15,10 +15,8 @@ from typing import Iterator
 import numpy as np
 
 from .games import AdjacencyMatrix, NetworkGame
-from .design import check_coincidence
+from .design import RANK_TOL, check_coincidence
 from .errors import SingularSystem
-
-RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAnEquilibrium
-from .games import NetworkGame, PublicGoodsGame, cost_lq, cost_pg, grad_F, grad_W
+from .games import NetworkGame, PublicGoodsGame, grad_F, grad_W
 from .equilibrium import NE_KINDS, EquilibriumResult, _pg_ne_residual
 
 IR_TOL = 1e-9
@@ -43,7 +43,7 @@ def _residual_for(game, eq: EquilibriumResult) -> float:
         return float(np.max(np.abs(grad_W(game, x))))
     if eq.kind in ("constrained-ne", "constrained-social"):
         f = grad_F(game, x) if eq.kind == "constrained-ne" else grad_W(game, x)
-        return float(np.max(np.abs(x - np.maximum(0.0, x - f))))
+        return float(np.max(np.abs(x - np.clip(x - f, 0.0, game.upper_bound))))
     if eq.kind in ("pg-ne", "pg-social"):
         return _pg_ne_residual(game, x) if eq.kind == "pg-ne" else eq.stationarity_residual
     raise ValueError(f"unknown equilibrium kind {eq.kind!r}")
@@ -52,9 +52,11 @@ def _residual_for(game, eq: EquilibriumResult) -> float:
 def ir_check(game, eq: EquilibriumResult, tol: float = 1e-8) -> IrReport:
     """Per-player participation check at a verified equilibrium.
 
-    Re-validates the equilibrium residual (NotAnEquilibrium beyond ``tol``)
-    and, for interior Nash kinds, the closed-form identity
-    ``cost_i = -0.5*x_i**2`` to within 1e-9.
+    Re-validates the equilibrium residual (NotAnEquilibrium beyond ``tol``;
+    box-aware when the game carries an upper bound) and, for interior Nash
+    kinds with no upper bound binding, the closed-form identity
+    ``cost_i = -0.5*x_i**2`` to within 1e-9.  All costs come from one
+    aggregate ``G @ x`` and equal ``cost_lq``/``cost_pg`` player by player.
     """
     if isinstance(game, PublicGoodsGame) and eq.kind not in ("pg-ne", "pg-social"):
         raise ValueError(f"public-goods game cannot validate kind {eq.kind!r}")
@@ -66,22 +68,20 @@ def ir_check(game, eq: EquilibriumResult, tol: float = 1e-8) -> IrReport:
             f"stationarity residual {residual:.3e} exceeds tolerance {tol:g}"
         )
     x = eq.x.x
-    cost_of = cost_pg if isinstance(game, PublicGoodsGame) else cost_lq
-    check_identity = eq.kind in NE_KINDS and eq.interior
-    players = []
-    for i in range(1, game.n + 1):
-        cost = cost_of(game, i, x)
-        if check_identity and abs(cost + 0.5 * x[i - 1] ** 2) > IR_TOL:
+    z = game.adjacency.g @ x
+    pg = isinstance(game, PublicGoodsGame)
+    costs = 0.5 * x * x + (z - (game.gamma.value(game.theta + z) if pg else game.a)) * x
+    ub = None if pg else game.upper_bound
+    if eq.kind in NE_KINDS and eq.interior and (ub is None or np.all(x < ub - tol)):
+        violated = np.flatnonzero(np.abs(costs + 0.5 * x**2) > IR_TOL)
+        if violated.size:
+            i = int(violated[0])
             raise NotAnEquilibrium(
-                f"interior identity violated for player {i}: "
-                f"cost {cost:.12g} vs -0.5*x^2 {-0.5 * x[i - 1] ** 2:.12g}"
+                f"interior identity violated for player {i + 1}: "
+                f"cost {costs[i]:.12g} vs -0.5*x^2 {-0.5 * x[i] ** 2:.12g}"
             )
-        players.append(
-            PlayerRationality(
-                player=i,
-                cost_at_eq=cost,
-                cost_opt_out=0.0,
-                rational=bool(cost <= IR_TOL),
-            )
+    return IrReport(
+        players=tuple(
+            PlayerRationality(i + 1, float(c), 0.0, bool(c <= IR_TOL)) for i, c in enumerate(costs)
         )
-    return IrReport(players=tuple(players))
+    )

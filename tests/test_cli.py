@@ -1,10 +1,15 @@
 """Command-line surface: subcommands, exit codes, output formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netgames
 from netgames.cli import main
 
 
@@ -229,3 +234,18 @@ class TestIrCheck:
         doc = json.loads(out)
         assert doc["kind"] == "constrained-ne"
         assert doc["all_rational"] is True
+
+
+def test_runtime_imports_no_scipy():
+    # the core is numpy-only: scipy would add start-up time and resident memory
+    code = (
+        "import sys, netgames, netgames.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    src = str(Path(netgames.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60,
+        env=env,
+    ).stdout
+    assert out.strip() == "[]"

@@ -18,6 +18,7 @@ from netgames import (
     solve_social_pg,
     solve_vi,
 )
+from netgames.equilibrium import RCOND_MIN, _inverse, solve_linear
 
 EX3_G = np.array(
     [
@@ -124,6 +125,74 @@ class TestInteriorSocial:
                 options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 20000},
             )
             np.testing.assert_allclose(y, res.x, rtol=0, atol=1e-5)
+
+
+class TestSolveLinear:
+    """The one-inverse kernel behind every interior and public-goods solve."""
+
+    @staticmethod
+    def seeded_games(n):
+        rng = np.random.default_rng(1000 + n)
+        for _ in range(3):
+            g = rng.normal(size=(n, n)) * (0.5 / np.sqrt(n))
+            np.fill_diagonal(g, 0.0)
+            yield g, rng.uniform(-1.0, 2.0, n), rng.uniform(-0.5, 0.9, n)
+
+    @pytest.mark.parametrize("n", [5, 50, 200])
+    def test_agrees_with_scipy(self, n):
+        # independent oracle: scipy's LU solve on matrices assembled with explicit diagonals
+        from scipy.linalg import solve
+
+        def rel_err(x, ref):
+            return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+        eye = np.eye(n)
+        for g, a, d in self.seeded_games(n):
+            game = lq(g, a)
+            assert rel_err(solve_ne_interior(game).x.x, solve(eye + g, a)) <= 1e-12
+            assert rel_err(solve_social_interior(game).x.x, solve(eye + g + g.T, a)) <= 1e-12
+            pg = PublicGoodsGame(AdjacencyMatrix(g), np.abs(a), GammaFamily.affine(a, d))
+            b = a + d * np.abs(a)
+            v = np.diag(1.0 - d)
+            assert rel_err(solve_ne_pg(pg).x.x, solve(eye + v @ g, b)) <= 1e-12
+            assert rel_err(solve_social_pg(pg).x.x, solve(eye + v @ g.T + v @ g, b)) <= 1e-12
+
+    def test_exactly_singular_raises_singular_system(self):
+        m = np.eye(2) + np.array([[0.0, -1.0], [-1.0, 0.0]])
+        with pytest.raises(SingularSystem):
+            solve_linear(m, np.ones(2), 1e-10)
+
+    def test_near_singular_raises(self):
+        # det(I+G) = eps and kappa_1 = 4/eps, so rcond ~ 1e-14 < RCOND_MIN
+        eps = 4e-14
+        game = lq(np.array([[0.0, -1.0], [eps - 1.0, 0.0]]), np.ones(2))
+        m = np.eye(2) + game.adjacency.g
+        assert 1.0 / np.linalg.cond(m, 1) < RCOND_MIN
+        with pytest.raises(SingularSystem):
+            solve_ne_interior(game)
+
+    def test_ill_conditioned_meets_residual_target(self):
+        # kappa_2 = 1e8 by construction; refinement must reach the target
+        rng = np.random.default_rng(7)
+        n = 40
+        u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        m = (u * np.logspace(0, -8, n)) @ v.T
+        x_true = rng.uniform(-1.0, 1.0, n)
+        b = m @ x_true
+        target = 1e-10 * (1.0 + np.max(np.abs(b)))
+        x = solve_linear(m, b, target)
+        assert np.max(np.abs(b - m @ x)) <= target
+        assert np.max(np.abs(x - x_true)) <= 1e-5
+
+    def test_rcond_is_exact_one_norm(self):
+        # independent oracle: numpy's own 1-norm condition number
+        rng = np.random.default_rng(11)
+        for n in (2, 9, 60):
+            m = np.eye(n) + rng.normal(size=(n, n)) * (0.8 / np.sqrt(n))
+            inv, rcond = _inverse(m)
+            assert rcond == pytest.approx(1.0 / np.linalg.cond(m, 1), rel=1e-12)
+            np.testing.assert_allclose(inv @ m, np.eye(n), rtol=0, atol=1e-10)
 
 
 class TestSolveVi:

@@ -11,6 +11,8 @@ from netgames import (
     NetworkGame,
     NotAnEquilibrium,
     PublicGoodsGame,
+    cost_lq,
+    cost_pg,
     ir_check,
     solve_ne_interior,
     solve_ne_pg,
@@ -113,3 +115,42 @@ def test_kind_game_mismatch_rejected():
     )
     with pytest.raises(ValueError):
         ir_check(pg, eq)
+
+
+def test_costs_equal_per_player_cost_functions():
+    # reference: the per-player public cost functions, one call each
+    rng = np.random.default_rng(29)
+    g = rng.normal(size=(12, 12)) * 0.1
+    np.fill_diagonal(g, 0.0)
+    game = lq(g, rng.uniform(0.5, 2.0, 12))
+    eq = solve_ne_interior(game)
+    report = ir_check(game, eq)
+    assert [p.cost_at_eq for p in report.players] == [
+        cost_lq(game, i, eq.x) for i in range(1, 13)
+    ]
+    pg = PublicGoodsGame(
+        AdjacencyMatrix(np.array([[0.0, 0.2], [0.1, 0.0]])),
+        np.array([1.0, 2.0]),
+        GammaFamily.custom(
+            value_fn=lambda i, w: (1.0 if i == 1 else 0.5) + (0.3 if i == 1 else 0.4) * w,
+            deriv_fn=lambda i, w: 0.3 if i == 1 else 0.4,
+        ),
+    )
+    eq = solve_ne_pg(pg, tol=1e-12)
+    report = ir_check(pg, eq)
+    assert [p.cost_at_eq for p in report.players] == [cost_pg(pg, i, eq.x) for i in (1, 2)]
+
+
+def test_box_equilibrium_with_binding_bounds():
+    # both bounds bind: F(x) = x + Gx - a = (-1.45, -1.45) < 0 at x = ub
+    game = NetworkGame(
+        AdjacencyMatrix(np.array([[0.0, 0.1], [0.1, 0.0]])),
+        np.array([2.0, 2.0]),
+        upper_bound=np.array([0.5, 0.5]),
+    )
+    eq = solve_vi(game)
+    np.testing.assert_allclose(eq.x.x, [0.5, 0.5], rtol=0, atol=1e-12)
+    report = ir_check(game, eq)
+    # cost = 0.5*0.25 + (0.05 - 2)*0.5 = -0.85, not the interior -0.125
+    assert [p.cost_at_eq for p in report.players] == pytest.approx([-0.85, -0.85], abs=1e-12)
+    assert report.all_rational
