@@ -2,9 +2,10 @@
 
 The design target is the pair of conditions ``(I+G)x = a`` and ``G^T x = 0``:
 a network whose Nash equilibrium is simultaneously the social optimum.
-``design_solve`` recovers free adjacency entries by multi-start damped Newton
-on the stacked bilinear residual; ``symmetric_design`` uses the closed-form
-symmetric construction (x* = a with Ga = 0).
+``design_solve`` recovers free adjacency entries by multi-start damped
+Gauss-Newton on the stacked bilinear residual, advancing all starts of a sweep
+in lockstep as one batch; ``symmetric_design`` uses the closed-form symmetric
+construction (x* = a with Ga = 0).
 """
 
 from __future__ import annotations
@@ -109,6 +110,13 @@ class DeterminantReport:
     rank: int
 
 
+def _coincides(game: NetworkGame, x: np.ndarray, tol: float) -> tuple[bool, float]:
+    """Coincidence verdict at the interior Nash equilibrium x, and ``||G^T x||_inf``."""
+    residual_orth = _norm_inf(game.adjacency.g.T @ x)
+    holds = residual_orth <= tol * (1.0 + _norm_inf(game.a)) and bool(np.min(x) >= -TOL_NONNEG)
+    return holds, residual_orth
+
+
 def check_coincidence(game: NetworkGame, tol: float = DESIGN_TOL) -> CoincidenceCheck:
     """Test whether the interior Nash equilibrium is also the social optimum.
 
@@ -117,11 +125,7 @@ def check_coincidence(game: NetworkGame, tol: float = DESIGN_TOL) -> Coincidence
     ``(I+G+G^T)`` is nonsingular.
     """
     x = solve_ne_interior(game).x.x
-    g = game.adjacency.g
-    residual_orth = _norm_inf(g.T @ x)
-    holds = residual_orth <= tol * (1.0 + _norm_inf(game.a)) and bool(
-        np.min(x) >= -TOL_NONNEG
-    )
+    holds, residual_orth = _coincides(game, x, tol)
     social_gap = float("nan")
     try:
         y = solve_social_interior(game).x.x
@@ -222,101 +226,107 @@ def four_player_symmetric_example(t: float = 0.1, u: float = 0.2) -> NetworkGame
     return NetworkGame(adjacency=AdjacencyMatrix(g), a=np.ones(4))
 
 
-def _newton_polish(residual_fn, jacobian_fn, u0, hard_tol, max_newton=80):
-    """Damped Gauss-Newton; returns the final iterate or None on stall."""
-    u = np.array(u0, dtype=float)
-    r = residual_fn(u)
-    norm = float(np.linalg.norm(r))
-    for _ in range(max_newton):
-        if _norm_inf(r) <= hard_tol:
-            break
-        jac = jacobian_fn(u)
-        du, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        if not np.all(np.isfinite(du)):
-            return None
-        step = 1.0
-        for _ in range(40):
-            cand = u + step * du
-            r_cand = residual_fn(cand)
-            n_cand = float(np.linalg.norm(r_cand))
-            if n_cand < norm:
-                u, r, norm = cand, r_cand, n_cand
-                break
-            step *= 0.5
-        else:
-            return u  # stalled; caller decides on acceptance
-    return u
-
-
 def design_solve(
     problem: DesignProblem,
     starts: int = 64,
     tol: float = DESIGN_TOL,
     seed: int = 0,
 ) -> DesignRun:
-    """Multi-start damped Newton on R(x, g_free) = [(I+G)x - a; G^T x].
+    """Multi-start damped Gauss-Newton on R(x, g_free) = [(I+G)x - a; G^T x].
 
     Starts sample x in [0, max(a)] and free entries in [-5, 5]; on total
-    failure the whole sweep is retried with entries in [-50, 50].  Converged
-    iterates with any x_i < -tol are excluded and counted in diagnostics.
-    Distinct accepted branches (relative sup distance > 1e-4) are returned in
-    canonical order; raises NoSolutionFound when none survive.
+    failure the whole sweep is retried with entries in [-50, 50].  All starts
+    of a sweep advance in lockstep as one (starts, n+m) batch: each iteration
+    takes the minimum-norm least-squares step of every live start from one
+    stacked pseudo-inverse (lstsq's cutoff max(2n, n+m)*eps*s_max) and
+    evaluates all 40 halvings of it at once, keeping the first that lowers
+    the residual 2-norm.  A start stops at residual 1e-13*(1+||a||_inf),
+    after 80 iterations, or when no halving helps (it keeps its iterate); a
+    start whose step is not finite is dropped.  Converged iterates with any
+    x_i < -tol are excluded and counted in diagnostics.  Distinct accepted
+    branches (relative sup distance > 1e-4) are returned in canonical order;
+    raises NoSolutionFound when none survive.
     """
     n = problem.n
     a = problem.a
     g0 = problem.base_matrix()
-    free = [(i - 1, j - 1) for i, j in problem.free]
-    m = len(free)
+    m = len(problem.free)
+    rows = np.array([i - 1 for i, _ in problem.free], dtype=int)
+    cols = np.array([j - 1 for _, j in problem.free], dtype=int)
+    slots = n + np.arange(m)
+    # one-hot maps scattering the free-entry terms g_pq*x_q into row p of Gx
+    # and g_pq*x_p into row q of G^T x
+    to_rows = np.eye(n)[rows]
+    to_cols = np.eye(n)[cols]
     eye = np.eye(n)
-    rows = np.array([p for p, _ in free], dtype=int)
-    cols = np.array([q for _, q in free], dtype=int)
+    halvings = 0.5 ** np.arange(40)
+    rcond = max(2 * n, n + m) * np.finfo(float).eps
 
     def build_g(gf):
-        g = g0.copy()
-        if m:
-            g[rows, cols] = gf
+        """Adjacency matrices for free-entry values of shape (..., m)."""
+        g = np.broadcast_to(g0, gf.shape[:-1] + (n, n)).copy()
+        g[..., rows, cols] = gf
         return g
 
     def residual(u):
-        x, gf = u[:n], u[n:]
-        g = build_g(gf)
-        return np.concatenate([x + g @ x - a, g.T @ x])
+        """Rows of [(I+G)x - a; G^T x] for iterates u of shape (K, n+m)."""
+        x, gf = u[:, :n], u[:, n:]
+        gx = x @ g0.T + (gf * x[:, cols]) @ to_rows
+        gtx = x @ g0 + (gf * x[:, rows]) @ to_cols
+        return np.concatenate([x + gx - a, gtx], axis=1)
 
     def jacobian(u):
-        x, gf = u[:n], u[n:]
-        g = build_g(gf)
-        jac = np.zeros((2 * n, n + m))
-        jac[:n, :n] = eye + g
-        jac[n:, :n] = g.T
-        for k, (p, q) in enumerate(free):
-            jac[p, n + k] = x[q]
-            jac[n + q, n + k] = x[p]
+        x = u[:, :n]
+        g = build_g(u[:, n:])
+        jac = np.zeros((len(u), 2 * n, n + m))
+        jac[:, :n, :n] = eye + g
+        jac[:, n:, :n] = g.transpose(0, 2, 1)
+        jac[:, rows, slots] = x[:, cols]
+        jac[:, n + cols, slots] = x[:, rows]
         return jac
 
     hard_tol = 1e-13 * (1.0 + _norm_inf(a))
     x_hi = float(np.max(a)) if float(np.max(a)) > 0 else 1.0
 
+    def polish(u):
+        """Damped Gauss-Newton on every row of u; returns the kept iterates and their residuals."""
+        r = residual(u)
+        norm = np.linalg.norm(r, axis=1)
+        kept = np.ones(len(u), dtype=bool)
+        live = kept.copy()
+        for _ in range(80):
+            live &= np.max(np.abs(r), axis=1) > hard_tol
+            idx = np.flatnonzero(live)
+            if not idx.size:
+                break
+            du = -(np.linalg.pinv(jacobian(u[idx]), rcond=rcond) @ r[idx, :, None])[..., 0]
+            finite = np.all(np.isfinite(du), axis=1)
+            kept[idx[~finite]] = live[idx[~finite]] = False
+            idx, du = idx[finite], du[finite]
+            cand = u[idx, None, :] + halvings[:, None] * du[:, None, :]
+            r_cand = residual(cand.reshape(-1, n + m)).reshape(len(idx), 40, 2 * n)
+            n_cand = np.linalg.norm(r_cand, axis=2)
+            lower = n_cand < norm[idx, None]
+            first = np.argmax(lower, axis=1)
+            moved = lower[np.arange(len(idx)), first]
+            live[idx[~moved]] = False  # stalled: keeps its iterate
+            pick, first = np.flatnonzero(moved), first[moved]
+            idx = idx[pick]
+            u[idx], r[idx], norm[idx] = cand[pick, first], r_cand[pick, first], n_cand[pick, first]
+        return u[kept], r[kept]
+
     def run_sweep(box):
         rng = np.random.default_rng(seed)
-        accepted, rejected, converged = [], 0, 0
-        best = float("inf")
-        for _ in range(starts):
-            u0 = np.concatenate(
-                [rng.uniform(0.0, x_hi, n), rng.uniform(-box, box, m)]
-            )
-            u = _newton_polish(residual, jacobian, u0, hard_tol)
-            if u is None:
-                continue
-            res = _norm_inf(residual(u))
-            best = min(best, res)
-            if res > tol:
-                continue
-            converged += 1
-            if float(np.min(u[:n])) < -tol:
-                rejected += 1
-                continue
-            accepted.append(u)
-        return accepted, rejected, converged, best
+        lo = np.concatenate([np.zeros(n), np.full(m, -box)])
+        hi = np.concatenate([np.full(n, x_hi), np.full(m, box)])
+        # row-major draws: per start, n actions then m free entries, as one stream
+        u, r = polish(rng.uniform(lo, hi, (max(starts, 0), n + m)))
+        res = np.max(np.abs(r), axis=1)
+        best = float(np.min(res, initial=np.inf))
+        converged = res <= tol
+        negative = converged & (np.min(u[:, :n], axis=1) < -tol)
+        accepted = list(u[converged & ~negative])
+        return accepted, int(np.sum(negative)), int(np.sum(converged)), best
 
     accepted, rejected, converged, best = run_sweep(5.0)
     if not accepted:

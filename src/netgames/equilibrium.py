@@ -217,6 +217,15 @@ def _pg_ne_residual(game: PublicGoodsGame, x: np.ndarray) -> float:
     return _norm_inf(x + z - game.gamma.value(game.theta + z))
 
 
+def _pg_social_residual(game: PublicGoodsGame, y: np.ndarray) -> float:
+    """Sup-norm of the affine social first-order map y + V G^T y + Gy - gamma(theta + Gy)."""
+    if not game.gamma.is_affine:
+        raise ValueError("the public-goods social optimum requires an affine gamma family")
+    g = game.adjacency.g
+    z = g @ y
+    return _norm_inf(y + (1.0 - game.gamma.d) * (g.T @ y) + z - game.gamma.value(game.theta + z))
+
+
 def solve_ne_pg(
     game: PublicGoodsGame,
     tol: float = DEFAULT_TOL,
@@ -272,12 +281,10 @@ def solve_social_pg(game: PublicGoodsGame, tol: float = DEFAULT_TOL) -> Equilibr
     m = np.eye(n) + v[:, None] * (g + g.T)
     b = game.gamma.c + d * game.theta
     y = solve_linear(m, b, tol * (1.0 + _norm_inf(b)))
-    z = g @ y
-    res = _norm_inf(y + v * (g.T @ y) + z - game.gamma.value(game.theta + z))
     return EquilibriumResult(
         x=ActionProfile(y),
         kind="pg-social",
-        stationarity_residual=res,
+        stationarity_residual=_pg_social_residual(game, y),
         complementarity_residual=0.0,
         interior=bool(np.all(y > TOL_NONNEG)),
     )

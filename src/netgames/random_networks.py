@@ -15,7 +15,8 @@ from typing import Iterator
 import numpy as np
 
 from .games import AdjacencyMatrix, NetworkGame
-from .design import RANK_TOL, check_coincidence
+from .design import RANK_TOL, _coincides
+from .equilibrium import solve_ne_interior
 from .errors import SingularSystem
 
 
@@ -150,8 +151,9 @@ def coincidence_feasibility_scan(
         sv = np.linalg.svd(adjacency.g, compute_uv=False)
         if sv[-1] <= rank_tol * sv[0]:
             n_singular += 1
+        game = NetworkGame(adjacency, a)
         try:
-            if check_coincidence(NetworkGame(adjacency, a), tol=tol).holds:
+            if _coincides(game, solve_ne_interior(game).x.x, tol)[0]:
                 n_coincident += 1
         except SingularSystem:
             pass

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import NotAnEquilibrium
 from .games import NetworkGame, PublicGoodsGame, grad_F, grad_W
-from .equilibrium import NE_KINDS, EquilibriumResult, _pg_ne_residual
+from .equilibrium import NE_KINDS, EquilibriumResult, _pg_ne_residual, _pg_social_residual
 
 IR_TOL = 1e-9
 
@@ -45,7 +45,7 @@ def _residual_for(game, eq: EquilibriumResult) -> float:
         f = grad_F(game, x) if eq.kind == "constrained-ne" else grad_W(game, x)
         return float(np.max(np.abs(x - np.clip(x - f, 0.0, game.upper_bound))))
     if eq.kind in ("pg-ne", "pg-social"):
-        return _pg_ne_residual(game, x) if eq.kind == "pg-ne" else eq.stationarity_residual
+        return _pg_ne_residual(game, x) if eq.kind == "pg-ne" else _pg_social_residual(game, x)
     raise ValueError(f"unknown equilibrium kind {eq.kind!r}")
 
 

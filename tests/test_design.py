@@ -21,6 +21,7 @@ from netgames import (
     solve_social_interior,
     symmetric_design,
 )
+from netgames.design import DISTINCT_TOL
 
 EX3_G = np.array(
     [
@@ -34,6 +35,94 @@ EX3_A = np.array([1.0, 2.0, 3.0])
 
 def lq(g, a):
     return NetworkGame(AdjacencyMatrix(g), np.asarray(a, dtype=float))
+
+
+def sup(v) -> float:
+    return float(np.max(np.abs(v))) if np.size(v) else 0.0
+
+
+def reference_newton_polish(residual_fn, jacobian_fn, u0, hard_tol, max_newton=80):
+    """Per-start damped Gauss-Newton; returns the final iterate or None on a non-finite step."""
+    u = np.array(u0, dtype=float)
+    r = residual_fn(u)
+    norm = float(np.linalg.norm(r))
+    for _ in range(max_newton):
+        if sup(r) <= hard_tol:
+            break
+        jac = jacobian_fn(u)
+        du, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        if not np.all(np.isfinite(du)):
+            return None
+        step = 1.0
+        for _ in range(40):
+            cand = u + step * du
+            r_cand = residual_fn(cand)
+            n_cand = float(np.linalg.norm(r_cand))
+            if n_cand < norm:
+                u, r, norm = cand, r_cand, n_cand
+                break
+            step *= 0.5
+        else:
+            return u  # stalled; caller decides on acceptance
+    return u
+
+
+def reference_design_branches(problem, starts, tol=1e-8, seed=0):
+    """Distinct accepted [x, g_free] iterates of a start-by-start multi-start design.
+
+    Same draws, steps, acceptance and de-duplication as ``design_solve``, one
+    start and one ``lstsq`` at a time.  Raises NoSolutionFound like it.
+    """
+    n, a = problem.n, problem.a
+    g0 = problem.base_matrix()
+    free = [(i - 1, j - 1) for i, j in problem.free]
+    m = len(free)
+
+    rows = np.array([p for p, _ in free], dtype=int)
+    cols = np.array([q for _, q in free], dtype=int)
+
+    def build_g(gf):
+        g = g0.copy()
+        if m:
+            g[rows, cols] = gf
+        return g
+
+    def residual(u):
+        x, g = u[:n], build_g(u[n:])
+        return np.concatenate([x + g @ x - a, g.T @ x])
+
+    def jacobian(u):
+        x, g = u[:n], build_g(u[n:])
+        jac = np.zeros((2 * n, n + m))
+        jac[:n, :n] = np.eye(n) + g
+        jac[n:, :n] = g.T
+        for k, (p, q) in enumerate(free):
+            jac[p, n + k] = x[q]
+            jac[n + q, n + k] = x[p]
+        return jac
+
+    hard_tol = 1e-13 * (1.0 + sup(a))
+    x_hi = float(np.max(a)) if float(np.max(a)) > 0 else 1.0
+
+    def run_sweep(box):
+        rng = np.random.default_rng(seed)
+        accepted = []
+        for _ in range(starts):
+            u0 = np.concatenate([rng.uniform(0.0, x_hi, n), rng.uniform(-box, box, m)])
+            u = reference_newton_polish(residual, jacobian, u0, hard_tol)
+            if u is not None and sup(residual(u)) <= tol and float(np.min(u[:n])) >= -tol:
+                accepted.append(u)
+        return accepted
+
+    accepted = run_sweep(5.0) or run_sweep(50.0)
+    if not accepted:
+        raise NoSolutionFound("reference found no admissible design")
+    accepted.sort(key=lambda u: tuple(np.round(u, 12)))
+    distinct = []
+    for u in accepted:
+        if all(sup(u - v) / (1.0 + max(sup(u), sup(v))) > DISTINCT_TOL for v in distinct):
+            distinct.append(u)
+    return distinct
 
 
 class TestCheckCoincidence:
@@ -221,6 +310,41 @@ class TestDesignSolve:
         for s0, s1 in zip(runs[0].solutions, runs[1].solutions):
             np.testing.assert_array_equal(s0.adjacency.g, s1.adjacency.g)
             np.testing.assert_array_equal(s0.x_star.x, s1.x_star.x)
+
+    def assert_same_branches_as_reference(self, problem, starts, seed):
+        try:
+            want = reference_design_branches(problem, starts, seed=seed)
+        except NoSolutionFound:
+            with pytest.raises(NoSolutionFound):
+                design_solve(problem, starts=starts, seed=seed)
+            return False
+        got = design_solve(problem, starts=starts, seed=seed).solutions
+        free = [(i - 1, j - 1) for i, j in problem.free]
+        got = [np.concatenate([s.x_star.x, [s.adjacency.g[p, q] for p, q in free]]) for s in got]
+        assert len(got) == len(want)
+        for u in want:
+            assert min(sup(u - v) for v in got) <= 1e-6
+        return True
+
+    def test_branches_match_per_start_reference_readme(self):
+        for seed in range(16):
+            assert self.assert_same_branches_as_reference(self.problem3(), 64, seed)
+
+    def test_branches_match_per_start_reference_two_player(self):
+        rng = np.random.default_rng(83)
+        solved = 0
+        for _ in range(100):
+            a = rng.uniform(0.1, 2.0, 2)
+            problem = DesignProblem(n=2, a=a, fixed=(), free=((1, 2), (2, 1)))
+            solved += self.assert_same_branches_as_reference(
+                problem, 8, int(rng.integers(0, 2**31))
+            )
+        assert solved == 100
+        # infeasible two-player problems: both searches must give up
+        ones = np.ones(2)
+        for fixed, free in ((((1, 2, 0.7),), ((2, 1),)), (((1, 2, 0.7), (2, 1, 0.4)), ())):
+            problem = DesignProblem(n=2, a=ones, fixed=fixed, free=free)
+            assert not self.assert_same_branches_as_reference(problem, 8, 3)
 
     def test_problem_validation(self):
         with pytest.raises(ValueError):

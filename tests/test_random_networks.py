@@ -5,7 +5,10 @@ import pytest
 
 from netgames import (
     ErConfig,
+    NetworkGame,
+    SingularSystem,
     WeightLaw,
+    check_coincidence,
     coincidence_feasibility_scan,
     sample_er,
     singularity_stats,
@@ -115,3 +118,27 @@ class TestCoincidenceScan:
             )
             scan = coincidence_feasibility_scan(config, np.ones(config.n))
             assert scan.coincident <= scan.singular
+
+    def test_counts_match_check_coincidence(self):
+        # the directed 2-player unit graphs give all three outcomes: empty and
+        # one-edge graphs coincide, the two-cycle makes I+G singular
+        configs = [
+            ErConfig(n=2, p=0.5, samples=40, seed=5, directed=True),
+            ErConfig(n=3, p=0.3, samples=40, seed=6),
+            ErConfig(n=4, p=0.3, samples=40, seed=7, weight_law=WeightLaw.parse("uniform:-1,1")),
+            ErConfig(n=4, p=0.3, samples=40, seed=8, directed=True),
+        ]
+        outcomes = set()
+        for config in configs:
+            a = np.linspace(1.0, 0.5, config.n)
+            expected = 0
+            for adjacency in sample_er(config):
+                try:
+                    holds = check_coincidence(NetworkGame(adjacency, a), tol=1e-8).holds
+                except SingularSystem:
+                    outcomes.add("singular")
+                    continue
+                outcomes.add(holds)
+                expected += holds
+            assert coincidence_feasibility_scan(config, a, tol=1e-8).coincident == expected
+        assert outcomes == {True, False, "singular"}

@@ -17,6 +17,7 @@ from netgames import (
     solve_ne_interior,
     solve_ne_pg,
     solve_social_interior,
+    solve_social_pg,
     solve_vi,
 )
 
@@ -154,3 +155,23 @@ def test_box_equilibrium_with_binding_bounds():
     # cost = 0.5*0.25 + (0.05 - 2)*0.5 = -0.85, not the interior -0.125
     assert [p.cost_at_eq for p in report.players] == pytest.approx([-0.85, -0.85], abs=1e-12)
     assert report.all_rational
+
+
+def test_pg_social_result_revalidated_from_the_game():
+    pg = PublicGoodsGame(
+        AdjacencyMatrix(np.array([[0.0, 0.2], [0.1, 0.0]])),
+        np.array([1.0, 2.0]),
+        GammaFamily.affine(np.array([1.0, 1.0]), np.array([0.5, 0.5])),
+    )
+    made_up = EquilibriumResult(
+        x=ActionProfile(np.array([5.0, -3.0])),
+        kind="pg-social",
+        stationarity_residual=0.0,
+        complementarity_residual=0.0,
+        interior=False,
+    )
+    with pytest.raises(NotAnEquilibrium):
+        ir_check(pg, made_up)
+    eq = solve_social_pg(pg)
+    report = ir_check(pg, eq)
+    assert len(report.players) == 2
