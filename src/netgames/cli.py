@@ -39,7 +39,6 @@ from .random_networks import (
     ErConfig,
     WeightLaw,
     coincidence_feasibility_scan,
-    singularity_stats,
     write_csv as write_random_csv,
 )
 from .rationality import ir_check
@@ -99,6 +98,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_design(args) -> int:
+    if args.starts < 1:
+        raise GameFileError("--starts must be at least 1")
+    if not args.tol > 0:
+        raise GameFileError("--tol must be positive")
     problem = load_problem(args.problem)
     run = design_solve(problem, starts=args.starts, tol=args.tol, seed=args.seed)
     doc = {
@@ -169,10 +172,9 @@ def _cmd_random(args) -> int:
         )
     except ValueError as exc:
         raise GameFileError(str(exc)) from exc
-    stats = singularity_stats(config)
     scan = coincidence_feasibility_scan(config, np.ones(args.n))
     buf = io.StringIO()
-    write_random_csv(config, stats, scan, buf)
+    write_random_csv(config, scan, buf)
     _emit(buf.getvalue(), args.out)
     return EXIT_OK
 

@@ -24,6 +24,12 @@ RANK_TOL = 1e-10
 DISTINCT_TOL = 1e-4
 
 
+def _singularity(g: np.ndarray, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, bool]:
+    """Singular values of g and the verdict ``sv[-1] <= rank_tol * sv[0]``."""
+    sv = np.linalg.svd(g, compute_uv=False)
+    return sv, bool(sv[-1] <= rank_tol * sv[0])
+
+
 @dataclass(frozen=True)
 class DesignProblem:
     """Free/fixed split of off-diagonal adjacency entries.
@@ -145,14 +151,9 @@ def necessary_condition_det(
     A singular G is necessary for a nonzero coincident equilibrium.
     """
     g = adjacency.g
-    sv = np.linalg.svd(g, compute_uv=False)
-    largest = float(sv[0])
-    rank = int(np.sum(sv > rank_tol * max(largest, np.finfo(float).tiny)))
-    return DeterminantReport(
-        det=float(np.linalg.det(g)),
-        singular=bool(sv[-1] <= rank_tol * largest),
-        rank=rank,
-    )
+    sv, singular = _singularity(g, rank_tol)
+    rank = int(np.sum(sv > rank_tol * max(float(sv[0]), np.finfo(float).tiny)))
+    return DeterminantReport(det=float(np.linalg.det(g)), singular=singular, rank=rank)
 
 
 def potential_check(adjacency: AdjacencyMatrix, tol: float = 1e-12) -> bool:
@@ -245,8 +246,11 @@ def design_solve(
     start whose step is not finite is dropped.  Converged iterates with any
     x_i < -tol are excluded and counted in diagnostics.  Distinct accepted
     branches (relative sup distance > 1e-4) are returned in canonical order;
-    raises NoSolutionFound when none survive.
+    raises NoSolutionFound when none survive, and ValueError unless
+    ``starts >= 1`` and ``tol > 0``.
     """
+    if starts < 1 or not tol > 0:
+        raise ValueError(f"need starts >= 1 and tol > 0, got starts={starts}, tol={tol}")
     n = problem.n
     a = problem.a
     g0 = problem.base_matrix()
@@ -320,7 +324,7 @@ def design_solve(
         lo = np.concatenate([np.zeros(n), np.full(m, -box)])
         hi = np.concatenate([np.full(n, x_hi), np.full(m, box)])
         # row-major draws: per start, n actions then m free entries, as one stream
-        u, r = polish(rng.uniform(lo, hi, (max(starts, 0), n + m)))
+        u, r = polish(rng.uniform(lo, hi, (starts, n + m)))
         res = np.max(np.abs(r), axis=1)
         best = float(np.min(res, initial=np.inf))
         converged = res <= tol

@@ -63,6 +63,11 @@ def _norm_inf(v) -> float:
     return float(np.max(np.abs(v))) if v.size else 0.0
 
 
+def _natural_residual(x: np.ndarray, f: np.ndarray, ub) -> float:
+    """Natural residual ``||x - clip(x - f, 0, ub)||_inf`` of the box VI (ub None: no cap)."""
+    return _norm_inf(x - np.clip(x - f, 0.0, ub))
+
+
 def _inverse(m: np.ndarray) -> tuple[np.ndarray, float]:
     """Inverse of ``m`` and its exact 1-norm reciprocal condition.
 
@@ -171,12 +176,8 @@ def solve_vi(
 
     x = project(np.zeros(game.n) if x0 is None else profile_vector(x0, game.n))
     eta_floor = eta * 1e-14
-
-    def natural_residual(xv, fv):
-        return _norm_inf(xv - project(xv - fv))
-
     fx = m @ x - a
-    res = natural_residual(x, fx)
+    res = _natural_residual(x, fx, ub)
     best = (res, x, fx)
     for it in range(max_iters):
         comp = complementarity(x, fx)
@@ -191,7 +192,7 @@ def solve_vi(
             )
         x_new = project(x - eta * fx)
         f_new = m @ x_new - a
-        res_new = natural_residual(x_new, f_new)
+        res_new = _natural_residual(x_new, f_new, ub)
         if res_new >= res:
             eta *= 0.5
             if eta < eta_floor:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .certificates import cert_continuity
 from .errors import InsufficientData, SingularSystem
 from .games import TOL_NONNEG, AdjacencyMatrix, NetworkGame, social_cost
 from .equilibrium import solve_ne_interior, solve_vi
@@ -103,41 +104,29 @@ def sweep(config: SweepConfig) -> SweepReport:
     rows = []
     for delta in config.delta_grid:
         g = g0 + delta * config.delta_pattern
-        sigma = float(np.linalg.svd(g, compute_uv=False)[0])
-        margins = (1.0 - sigma, 1.0 - float(np.max(np.sum(np.abs(g), axis=1))))
+        spectral, rowsum = (cert.margin for cert in cert_continuity(g))
+        game = NetworkGame(AdjacencyMatrix(g), base.a, base.upper_bound)
         try:
-            game = NetworkGame(AdjacencyMatrix(g), base.a, base.upper_bound)
             if config.solver == "interior":
                 x = solve_ne_interior(game).x.x
                 feasible = bool(np.min(x) >= -TOL_NONNEG)
             else:
                 x = solve_vi(game, which="ne").x.x
                 feasible = True
-            rows.append(
-                SweepRow(
-                    delta=float(delta),
-                    x_star=x,
-                    social_cost=social_cost(game, x),
-                    feasible=feasible,
-                    min_x=float(np.min(x)),
-                    spectral_margin=margins[0],
-                    rowsum_margin=margins[1],
-                    singular=False,
-                )
-            )
         except SingularSystem:
-            rows.append(
-                SweepRow(
-                    delta=float(delta),
-                    x_star=None,
-                    social_cost=math.nan,
-                    feasible=False,
-                    min_x=math.nan,
-                    spectral_margin=margins[0],
-                    rowsum_margin=margins[1],
-                    singular=True,
-                )
+            x, feasible = None, False
+        rows.append(
+            SweepRow(
+                delta=float(delta),
+                x_star=x,
+                social_cost=math.nan if x is None else social_cost(game, x),
+                feasible=feasible,
+                min_x=math.nan if x is None else float(np.min(x)),
+                spectral_margin=spectral,
+                rowsum_margin=rowsum,
+                singular=x is None,
             )
+        )
 
     lip_x = 0.0
     lip_cost = 0.0

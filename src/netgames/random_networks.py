@@ -3,7 +3,7 @@
 Samples Erdos-Renyi adjacency matrices and measures how often they are
 singular (a necessary condition for a nonzero coincident equilibrium) and how
 often the coincidence actually holds.  Per-sample RNG streams are derived
-from (seed, sample index), so parallel and serial runs agree.
+from (seed, sample index), so results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from .games import AdjacencyMatrix, NetworkGame
-from .design import RANK_TOL, _coincides
+from .design import RANK_TOL, _coincides, _singularity
 from .equilibrium import solve_ne_interior
 from .errors import SingularSystem
 
@@ -116,17 +116,7 @@ class SingularityStats:
 
 def singularity_stats(config: ErConfig, rank_tol: float = RANK_TOL) -> SingularityStats:
     """Fraction of samples with smallest singular value <= rank_tol * largest."""
-    n_singular = 0
-    min_svs = []
-    for adjacency in sample_er(config):
-        sv = np.linalg.svd(adjacency.g, compute_uv=False)
-        min_svs.append(float(sv[-1]))
-        if sv[-1] <= rank_tol * sv[0]:
-            n_singular += 1
-    return SingularityStats(
-        fraction_singular=n_singular / config.samples,
-        mean_min_sv=float(np.mean(min_svs)),
-    )
+    return _scan(config, None, 0.0, rank_tol).stats
 
 
 @dataclass(frozen=True)
@@ -134,6 +124,7 @@ class ScanCounts:
     tested: int
     singular: int
     coincident: int
+    stats: SingularityStats
 
 
 def coincidence_feasibility_scan(
@@ -142,25 +133,39 @@ def coincidence_feasibility_scan(
     """Count singular samples and samples whose NE coincides with the optimum.
 
     Samples where (I+G) is numerically singular cannot be checked and count
-    as non-coincident.
+    as non-coincident.  Each sample is drawn and decomposed once: ``stats``
+    holds the ``singularity_stats`` of the same samples.
     """
-    a = np.asarray(a, dtype=float)
+    return _scan(config, np.asarray(a, dtype=float), tol, rank_tol)
+
+
+def _scan(config: ErConfig, a, tol: float, rank_tol: float) -> ScanCounts:
+    """One pass over the samples: one SVD each, plus a coincidence test unless a is None."""
+    min_svs = []
     n_singular = 0
     n_coincident = 0
     for adjacency in sample_er(config):
-        sv = np.linalg.svd(adjacency.g, compute_uv=False)
-        if sv[-1] <= rank_tol * sv[0]:
-            n_singular += 1
+        sv, singular = _singularity(adjacency.g, rank_tol)
+        min_svs.append(float(sv[-1]))
+        n_singular += singular
+        if a is None:
+            continue
         game = NetworkGame(adjacency, a)
         try:
             if _coincides(game, solve_ne_interior(game).x.x, tol)[0]:
                 n_coincident += 1
         except SingularSystem:
             pass
-    return ScanCounts(tested=config.samples, singular=n_singular, coincident=n_coincident)
+    stats = SingularityStats(
+        fraction_singular=n_singular / config.samples,
+        mean_min_sv=float(np.mean(min_svs)),
+    )
+    return ScanCounts(
+        tested=config.samples, singular=n_singular, coincident=n_coincident, stats=stats
+    )
 
 
-def write_csv(config: ErConfig, stats: SingularityStats, scan: ScanCounts, stream) -> None:
+def write_csv(config: ErConfig, scan: ScanCounts, stream) -> None:
     """Emit `n,p,samples,fraction_singular,mean_min_sv,coincident` as one row."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(("n", "p", "samples", "fraction_singular", "mean_min_sv", "coincident"))
@@ -169,8 +174,8 @@ def write_csv(config: ErConfig, stats: SingularityStats, scan: ScanCounts, strea
             config.n,
             f"{config.p:.12g}",
             config.samples,
-            f"{stats.fraction_singular:.12g}",
-            f"{stats.mean_min_sv:.12g}",
+            f"{scan.stats.fraction_singular:.12g}",
+            f"{scan.stats.mean_min_sv:.12g}",
             scan.coincident,
         ]
     )

@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import NotAnEquilibrium
 from .games import NetworkGame, PublicGoodsGame, grad_F, grad_W
-from .equilibrium import NE_KINDS, EquilibriumResult, _pg_ne_residual, _pg_social_residual
+from .equilibrium import CONSTRAINED_KINDS, INTERIOR_KINDS, NE_KINDS, PG_KINDS, EquilibriumResult
+from .equilibrium import _natural_residual, _norm_inf, _pg_ne_residual, _pg_social_residual
 
 IR_TOL = 1e-9
 
@@ -37,16 +38,14 @@ class IrReport:
 
 def _residual_for(game, eq: EquilibriumResult) -> float:
     x = eq.x.x
-    if eq.kind == "interior-ne":
-        return float(np.max(np.abs(grad_F(game, x))))
-    if eq.kind == "interior-social":
-        return float(np.max(np.abs(grad_W(game, x))))
-    if eq.kind in ("constrained-ne", "constrained-social"):
-        f = grad_F(game, x) if eq.kind == "constrained-ne" else grad_W(game, x)
-        return float(np.max(np.abs(x - np.clip(x - f, 0.0, game.upper_bound))))
-    if eq.kind in ("pg-ne", "pg-social"):
+    if eq.kind in PG_KINDS:
         return _pg_ne_residual(game, x) if eq.kind == "pg-ne" else _pg_social_residual(game, x)
-    raise ValueError(f"unknown equilibrium kind {eq.kind!r}")
+    if eq.kind not in INTERIOR_KINDS + CONSTRAINED_KINDS:
+        raise ValueError(f"unknown equilibrium kind {eq.kind!r}")
+    f = grad_F(game, x) if eq.kind in NE_KINDS else grad_W(game, x)
+    if eq.kind in CONSTRAINED_KINDS:
+        return _natural_residual(x, f, game.upper_bound)
+    return _norm_inf(f)
 
 
 def ir_check(game, eq: EquilibriumResult, tol: float = 1e-8) -> IrReport:
@@ -58,7 +57,7 @@ def ir_check(game, eq: EquilibriumResult, tol: float = 1e-8) -> IrReport:
     ``cost_i = -0.5*x_i**2`` to within 1e-9.  All costs come from one
     aggregate ``G @ x`` and equal ``cost_lq``/``cost_pg`` player by player.
     """
-    if isinstance(game, PublicGoodsGame) and eq.kind not in ("pg-ne", "pg-social"):
+    if isinstance(game, PublicGoodsGame) and eq.kind not in PG_KINDS:
         raise ValueError(f"public-goods game cannot validate kind {eq.kind!r}")
     if isinstance(game, NetworkGame) and eq.kind.startswith("pg-"):
         raise ValueError(f"linear-quadratic game cannot validate kind {eq.kind!r}")

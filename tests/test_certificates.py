@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from netgames import (
     AdjacencyMatrix,
@@ -113,6 +116,43 @@ class TestGammaMatrix:
             adjacency = AdjacencyMatrix(g)
             cert = cert_gamma_p_matrix(adjacency)
             assert cert.holds == p_matrix_check(build_gamma_matrix(adjacency))
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        g=st.integers(1, 8).flatmap(
+            lambda n: arrays(float, (n, n), elements=st.floats(-1.0, 1.0), fill=st.nothing())
+        ),
+        scale=st.floats(0.01, 1.0),
+    )
+    def test_spectral_certificate_matches_minor_scan(self, g, scale):
+        g = g * scale
+        np.fill_diagonal(g, 0.0)
+        adjacency = AdjacencyMatrix(g)
+        b = np.abs(2.0 * g + g.T)  # B = 2I - Gamma, nonnegative with zero diagonal
+        rho = float(np.max(np.abs(np.linalg.eigvals(b))))
+        # on rho(B) = 2 exactly Gamma is singular and both verdicts are decided by rounding
+        assume(abs(2.0 - rho) > 1e-9)
+        cert = cert_gamma_p_matrix(adjacency)
+        assert cert.holds == p_matrix_check(build_gamma_matrix(adjacency))
+        assert cert.margin == pytest.approx(2.0 - rho, abs=1e-12)
+        assert cert.details == {"spectral_radius": pytest.approx(rho, abs=1e-12)}
+        # Perron root of a nonnegative matrix lies between its smallest and largest row sum
+        rowsums = b.sum(axis=1)
+        assert rowsums.min() - 1e-12 <= rho <= rowsums.max() + 1e-12
+        # Gershgorin implies gamma-P on the same draw, since ||B||_inf >= rho(B)
+        gersh = cert_gershgorin(adjacency)
+        assert cert.margin >= gersh.margin - 1e-12
+        if gersh.holds:
+            assert cert.holds
+
+    def test_no_size_guard(self):
+        rng = np.random.default_rng(29)
+        for scale, holds in ((0.2 / 40, True), (2.0 / 40, False)):
+            g = np.abs(random_adjacency(rng, 40, scale))
+            cert = cert_gamma_p_matrix(AdjacencyMatrix(g))  # 2^40 minors: no TooLarge
+            assert cert.holds is holds
+            rho = float(np.max(np.abs(np.linalg.eigvals(2.0 * g + g.T))))
+            assert cert.margin == pytest.approx(2.0 - rho, abs=1e-12)
 
 
 class TestGershgorin:

@@ -12,6 +12,19 @@ import pytest
 import netgames
 from netgames.cli import main
 
+GOLDEN = Path(__file__).parent / "golden"
+FOUR_PLAYER_GAME = {
+    "n": 4,
+    "g": [[0, 0.1, 0.2, -0.3], [0.1, 0, -0.3, 0.2], [0.2, -0.3, 0, 0.1], [-0.3, 0.2, 0.1, 0]],
+    "a": [1, 1, 1, 1],
+}
+README_GAME = {
+    "n": 3,
+    "g": [[0.0, -2.0, -0.273107], [1.18042, 0.0, 2.0], [-3.0, 37.229, 0.0]],
+    "a": [1.0, 2.0, 3.0],
+}
+README_PATTERN = {"n": 4, "g": [[0, 0, 1, 1], [0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]]}
+
 
 @pytest.fixture
 def game_file(tmp_path):
@@ -130,6 +143,16 @@ class TestDesign:
         code, _, err = run_cli(capsys, "design", "--problem", str(path), "--starts", "4")
         assert code == 3
 
+    @pytest.mark.parametrize("flag", [["--starts", "0"], ["--starts", "-3"], ["--tol", "-1"]])
+    def test_invalid_arguments_exit_1(self, tmp_path, capsys, flag):
+        problem = {"n": 2, "a": [1.0, 1.0], "fixed": [], "free": [[1, 2]]}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        code, out, err = run_cli(capsys, "design", "--problem", str(path), *flag)
+        assert code == 1
+        assert out == ""
+        assert flag[0] in err
+
 
 class TestCertify:
     def test_reports_six_certificates(self, game_file, capsys):
@@ -144,6 +167,27 @@ class TestCertify:
         )
         for cert in doc["certificates"]:
             assert cert["holds"] == (cert["margin"] > 0)
+
+    @pytest.mark.parametrize(
+        "game, golden",
+        [(README_GAME, "certify_three_player.json"), (FOUR_PLAYER_GAME, "certify_four_player.json")],
+    )
+    def test_golden_output(self, game_file, capsys, game, golden):
+        # the goldens hold the earlier minimum-principal-minor margin for gamma-p-matrix;
+        # every other certificate must match them exactly
+        code, out, _ = run_cli(capsys, "certify", "--game", game_file(game))
+        assert code == 0
+        got = json.loads(out)["certificates"]
+        want = json.loads((GOLDEN / golden).read_text())["certificates"]
+        assert [c["name"] for c in got] == [c["name"] for c in want]
+        for cert, ref in zip(got, want):
+            if cert["name"] != "gamma-p-matrix":
+                assert cert == ref
+                continue
+            assert cert["holds"] == ref["holds"]
+            rho = cert["details"]["spectral_radius"]
+            assert list(cert["details"]) == ["spectral_radius"]
+            assert cert["margin"] == pytest.approx(2.0 - rho, abs=1e-10)
 
 
 class TestPerturb:
@@ -172,6 +216,17 @@ class TestPerturb:
         assert lines[0] == "delta,social_cost,feasible,min_x,spectral_margin"
         assert len(lines) == 11
         assert any(line.split(",")[2] == "false" for line in lines[1:])
+
+    def test_golden_readme_sweep(self, game_file, tmp_path, capsys):
+        ppath = tmp_path / "pattern.json"
+        ppath.write_text(json.dumps(README_PATTERN))
+        code, out, _ = run_cli(
+            capsys,
+            "perturb", "--game", game_file(FOUR_PLAYER_GAME), "--pattern", str(ppath),
+            "--from", "-0.6", "--to", "0.6", "--steps", "121",
+        )
+        assert code == 0
+        assert out == (GOLDEN / "perturb_four_player.csv").read_text()
 
     def test_rejects_pg_game(self, game_file, capsys):
         path = game_file(
@@ -216,6 +271,40 @@ class TestRandom:
             "--weights", "pareto:1",
         )
         assert code == 1
+
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            (["--p", "0.3"], "100,0.3,200,0,0.0475392301965,0"),
+            (["--p", "0.001"], "100,0.001,200,1,0,1"),
+            (
+                ["--p", "0.3", "--directed", "--weights", "gaussian:0,1"],
+                "100,0.3,200,0,0.0340298966359,0",
+            ),
+        ],
+    )
+    def test_golden_csv(self, capsys, flags, expected):
+        code, out, _ = run_cli(
+            capsys, "random", "--n", "100", "--samples", "200", "--seed", "7", *flags
+        )
+        assert code == 0
+        assert out == "n,p,samples,fraction_singular,mean_min_sv,coincident\n" + expected + "\n"
+
+    def test_one_svd_per_sample(self, capsys, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        code, _, _ = run_cli(
+            capsys, "random", "--n", "10", "--p", "0.3", "--samples", "25", "--seed", "4"
+        )
+        assert code == 0
+        assert len(calls) == 25
 
 
 class TestIrCheck:

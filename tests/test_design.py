@@ -354,6 +354,12 @@ class TestDesignSolve:
         with pytest.raises(ValueError):
             DesignProblem(n=2, a=np.ones(2), fixed=(), free=((3, 1),))
 
+    @pytest.mark.parametrize("kwargs", [{"starts": 0}, {"starts": -3}, {"tol": -1.0}, {"tol": 0.0}])
+    def test_invalid_arguments_raise_value_error(self, kwargs):
+        # out-of-range arguments are caller errors, not a failed search
+        with pytest.raises(ValueError):
+            design_solve(self.problem3(), **kwargs)
+
 
 class TestPgCoincidence:
     def test_empty_network(self):

@@ -119,6 +119,15 @@ class TestCoincidenceScan:
             scan = coincidence_feasibility_scan(config, np.ones(config.n))
             assert scan.coincident <= scan.singular
 
+    def test_carries_singularity_stats(self):
+        for config in (
+            ErConfig(n=10, p=0.001, samples=30, seed=3),
+            ErConfig(n=12, p=0.3, samples=30, seed=4, directed=True),
+        ):
+            scan = coincidence_feasibility_scan(config, np.ones(config.n))
+            assert scan.stats == singularity_stats(config)
+            assert scan.singular == round(scan.stats.fraction_singular * config.samples)
+
     def test_counts_match_check_coincidence(self):
         # the directed 2-player unit graphs give all three outcomes: empty and
         # one-edge graphs coincide, the two-cycle makes I+G singular
