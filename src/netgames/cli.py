@@ -3,7 +3,7 @@
 Subcommands: solve, design, certify, perturb, random, ir-check.  Results go
 to standard output (or --out PATH) with 12 significant digits.  Exit codes:
 0 success, 1 malformed input, 2 singular system, 3 no design solution,
-4 irrational player.
+4 irrational player, 5 no convergence.
 """
 
 from __future__ import annotations
@@ -27,9 +27,12 @@ from .equilibrium import (
 )
 from .errors import (
     GameFileError,
+    MaxItersExceeded,
     NetgamesError,
+    NoConvergence,
     NoSolutionFound,
     SingularSystem,
+    StepSelectionFailed,
 )
 from .games import PublicGoodsGame
 from .gamefile import load_game, load_pattern, load_problem
@@ -48,6 +51,7 @@ EXIT_BAD_INPUT = 1
 EXIT_SINGULAR = 2
 EXIT_NO_SOLUTION = 3
 EXIT_IRRATIONAL = 4
+EXIT_NO_CONVERGENCE = 5
 
 
 def _round12(value):
@@ -284,6 +288,9 @@ def main(argv=None) -> int:
     except NoSolutionFound as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_SOLUTION
+    except (StepSelectionFailed, MaxItersExceeded, NoConvergence) as exc:
+        print(f"error: no convergence: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except NetgamesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -3,8 +3,9 @@
 Interior solutions come from dense linear solves of ``(I+G)x = a`` and
 ``(I+G+G^T)y = a`` in ``solve_linear``, where one inverse gives the exact
 1-norm reciprocal condition, the solution and every refinement step.  On the
-nonnegative orthant the solution concept is the variational inequality
-VI(R_{>=0}^n, F); ``solve_vi`` reaches it by projected fixed-point iteration.
+nonnegative orthant (or a box) the solution concept is the variational
+inequality VI(X, F), a linear complementarity problem; ``solve_vi`` solves it
+by least-index principal pivoting, one ``solve_linear`` per pivot.
 Public-goods games get the analogous fixed points.
 """
 
@@ -101,17 +102,19 @@ def solve_linear(m: np.ndarray, b: np.ndarray, residual_target: float) -> np.nda
     raise SingularSystem("iterative refinement could not meet the residual target")
 
 
-def _interior_result(m, b, mapping_residual, kind) -> EquilibriumResult:
-    target = 1e-10 * (1.0 + _norm_inf(b))
-    x = solve_linear(m, b, target)
-    res = mapping_residual(x)
+def _result(x, kind, stationarity, complementarity=0.0) -> EquilibriumResult:
     return EquilibriumResult(
         x=ActionProfile(x),
         kind=kind,
-        stationarity_residual=res,
-        complementarity_residual=0.0,
+        stationarity_residual=stationarity,
+        complementarity_residual=complementarity,
         interior=bool(np.all(x > TOL_NONNEG)),
     )
+
+
+def _interior_result(m, b, kind) -> EquilibriumResult:
+    x = solve_linear(m, b, 1e-10 * (1.0 + _norm_inf(b)))
+    return _result(x, kind, _norm_inf(m @ x - b))
 
 
 def solve_ne_interior(game: NetworkGame) -> EquilibriumResult:
@@ -120,16 +123,16 @@ def solve_ne_interior(game: NetworkGame) -> EquilibriumResult:
     Negative components are returned un-clamped with ``interior=False``;
     ``solve_vi`` is the authority on the nonnegative orthant.
     """
-    g = game.adjacency.g
-    m = np.eye(game.n) + g
-    return _interior_result(m, game.a, lambda x: _norm_inf(m @ x - game.a), "interior-ne")
+    return _interior_result(np.eye(game.n) + game.adjacency.g, game.a, "interior-ne")
 
 
 def solve_social_interior(game: NetworkGame) -> EquilibriumResult:
     """Interior social optimum from (I+G+G^T)y = a."""
     g = game.adjacency.g
-    m = np.eye(game.n) + g + g.T
-    return _interior_result(m, game.a, lambda x: _norm_inf(m @ x - game.a), "interior-social")
+    return _interior_result(np.eye(game.n) + g + g.T, game.a, "interior-social")
+
+
+_AT_ZERO, _FREE, _AT_UB = 0, 1, 2
 
 
 def solve_vi(
@@ -139,75 +142,76 @@ def solve_vi(
     max_iters: int = DEFAULT_MAX_ITERS,
     tol: float = DEFAULT_TOL,
 ) -> EquilibriumResult:
-    """Solve VI(X, F) on the action box by projected fixed-point iteration.
+    """Solve VI(X, F) on the action box by least-index principal pivoting.
 
-    X is [0, inf)^n, or [0, ub] when the game carries an upper bound.  The
-    mapping is F(x) = (I+G)x - a for ``which="ne"`` and W(x) = (I+G+G^T)x - a
-    for ``which="social"``.  Iterates ``x <- P_X(x - eta * mapping(x))`` with
-    the step halved whenever the natural residual fails to decrease.  On
-    success the result satisfies x in X, complementarity residual <= tol,
-    and (for the unbounded box) mapping(x) >= -tol componentwise.
+    X is [0, inf)^n, or [0, ub] when the game carries an upper bound;
+    F(x) = Mx - a with M = I+G (``which="ne"``) or I+G+G^T (``"social"``), so
+    the VI is the (box) LCP(M, -a).  Each player is at 0, free, or at ub,
+    starting from the basis implied by ``x0`` (default: the origin).  Each
+    iteration checks the current point; otherwise the lowest-indexed violator
+    flips (a free player outside [0, ub] goes to the bound it crossed, one at
+    0 with F_i < 0 or at ub with F_i > 0 becomes free) and one solve_linear
+    gives the free players' ``x_F = M_FF^-1 (a_F - M_FB x_B)``.  A P-matrix M
+    gives a unique solution for every a (Cottle, Pang & Stone 1992, Thm
+    3.3.7), reached on the orthant without revisiting a basis (Murty 1974).
+
+    On success x is in X, the natural and complementarity residuals are
+    <= tol, and on the orthant F(x) >= -tol.  Raises StepSelectionFailed
+    when a basis recurs or a free block is singular (neither happens on the
+    orthant for a P-matrix) and MaxItersExceeded after ``max_iters`` solves.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if which not in ("ne", "social"):
         raise ValueError(f"which must be 'ne' or 'social', got {which!r}")
     g = game.adjacency.g
-    ub = game.upper_bound
-    row_norm = _norm_inf(np.sum(np.abs(g), axis=1)) if game.n else 0.0
-    if which == "ne":
-        m = np.eye(game.n) + g
-        eta = 1.0 / (1.0 + row_norm)
-        kind = "constrained-ne"
-    else:
-        m = np.eye(game.n) + g + g.T
-        eta = 1.0 / (1.0 + 2.0 * row_norm)
-        kind = "constrained-social"
+    m = np.eye(game.n) + g + (g.T if which == "social" else 0.0)
     a = game.a
+    ub = game.upper_bound
+    hi = np.inf if ub is None else ub
 
-    def project(v):
-        return np.clip(v, 0.0, ub)  # clip with None upper bound is max(0, .)
-
-    def complementarity(xv, fv):
-        if ub is None:
-            return _norm_inf(xv * fv)
+    def check(xv):
+        fv = m @ xv - a
         # at a box solution each player sits on a face where the matching term vanishes
-        return _norm_inf(xv * np.maximum(fv, 0.0) + (ub - xv) * np.minimum(fv, 0.0))
+        comp = xv * fv if ub is None else xv * np.maximum(fv, 0) + (ub - xv) * np.minimum(fv, 0)
+        return fv, _natural_residual(xv, fv, ub), _norm_inf(comp)
 
-    x = project(np.zeros(game.n) if x0 is None else profile_vector(x0, game.n))
-    eta_floor = eta * 1e-14
-    fx = m @ x - a
-    res = _natural_residual(x, fx, ub)
-    best = (res, x, fx)
-    for it in range(max_iters):
-        comp = complementarity(x, fx)
-        kkt_ok = True if ub is not None else float(np.min(fx)) >= -tol
-        if res <= tol and comp <= tol and kkt_ok:
-            return EquilibriumResult(
-                x=ActionProfile(x),
-                kind=kind,
-                stationarity_residual=res,
-                complementarity_residual=comp,
-                interior=bool(np.all(x > TOL_NONNEG)),
-            )
-        x_new = project(x - eta * fx)
-        f_new = m @ x_new - a
-        res_new = _natural_residual(x_new, f_new, ub)
-        if res_new >= res:
-            eta *= 0.5
-            if eta < eta_floor:
-                raise StepSelectionFailed(
-                    f"step halving bottomed out at iteration {it} (residual {res:.3e})"
-                )
-            continue
-        x, fx, res = x_new, f_new, res_new
-        if res < best[0]:
-            best = (res, x, fx)
+    x = np.clip(np.zeros(game.n) if x0 is None else profile_vector(x0, game.n), 0.0, ub)
+    state = np.where(x <= 0.0, _AT_ZERO, np.where(x >= hi, _AT_UB, _FREE)).astype(np.int8)
+    visited = set()
+    for _ in range(max_iters):
+        f, res, comp = check(x)
+        if res <= tol and comp <= tol and (ub is not None or np.min(f) >= -tol):
+            x = np.clip(x, 0.0, ub)  # a free player may sit a rounding error outside X
+            _, res, comp = check(x)
+            return _result(x, f"constrained-{which}", res, comp)
+        # a free player leaves only beyond tol, so rounding at a degenerate solution
+        # (x_i = F_i = 0) cannot send it back and forth
+        free = state == _FREE
+        violators = np.flatnonzero(
+            free & ((x < -tol) | (x > hi + tol))
+            | (state == _AT_ZERO) & (f < 0.0)
+            | (state == _AT_UB) & (f > 0.0)
+        )
+        if violators.size:
+            i = violators[0]
+            state[i] = _FREE if not free[i] else _AT_ZERO if x[i] < 0.0 else _AT_UB
+        if state.tobytes() in visited:
+            raise StepSelectionFailed(f"pivoting revisited a basis (residual {res:.3e})")
+        visited.add(state.tobytes())
+        x = np.where(state == _AT_UB, hi, 0.0)
+        fr = np.flatnonzero(state == _FREE)
+        if fr.size:
+            try:
+                x[fr] = solve_linear(m[np.ix_(fr, fr)], a[fr] - m[fr] @ x, tol)
+            except SingularSystem as exc:
+                raise StepSelectionFailed(f"pivoting hit a singular free block: {exc}") from exc
+    _, res, comp = check(x)
     raise MaxItersExceeded(
-        f"no convergence in {max_iters} iterations (best residual {best[0]:.3e})",
-        best_x=ActionProfile(best[1]),
-        stationarity_residual=best[0],
-        complementarity_residual=complementarity(best[1], best[2]),
+        f"no convergence in {max_iters} pivoting steps (residual {res:.3e})",
+        best_x=ActionProfile(x),
+        stationarity_residual=res,
+        complementarity_residual=comp,
         iterations=max_iters,
     )
 
@@ -257,13 +261,7 @@ def solve_ne_pg(
                 f"fixed-point iteration did not reach tol={tol:g} "
                 f"in {max_iters} iterations (residual {_pg_ne_residual(game, x):.3e})"
             )
-    return EquilibriumResult(
-        x=ActionProfile(x),
-        kind="pg-ne",
-        stationarity_residual=_pg_ne_residual(game, x),
-        complementarity_residual=0.0,
-        interior=bool(np.all(x > TOL_NONNEG)),
-    )
+    return _result(x, "pg-ne", _pg_ne_residual(game, x))
 
 
 def solve_social_pg(game: PublicGoodsGame, tol: float = DEFAULT_TOL) -> EquilibriumResult:
@@ -282,10 +280,4 @@ def solve_social_pg(game: PublicGoodsGame, tol: float = DEFAULT_TOL) -> Equilibr
     m = np.eye(n) + v[:, None] * (g + g.T)
     b = game.gamma.c + d * game.theta
     y = solve_linear(m, b, tol * (1.0 + _norm_inf(b)))
-    return EquilibriumResult(
-        x=ActionProfile(y),
-        kind="pg-social",
-        stationarity_residual=_pg_social_residual(game, y),
-        complementarity_residual=0.0,
-        interior=bool(np.all(y > TOL_NONNEG)),
-    )
+    return _result(y, "pg-social", _pg_social_residual(game, y))

@@ -20,8 +20,8 @@ class SingularSystem(NetgamesError):
 class MaxItersExceeded(NetgamesError):
     """Raised when an iterative solver hits its iteration cap.
 
-    Carries the best iterate seen (``best_x``) and residual diagnostics so
-    callers can inspect how close the run got.
+    Carries the iterate it stopped at (``best_x``) and its residual
+    diagnostics so callers can inspect how close the run got.
     """
 
     def __init__(self, msg, best_x=None, stationarity_residual=None,
@@ -34,7 +34,7 @@ class MaxItersExceeded(NetgamesError):
 
 
 class StepSelectionFailed(NetgamesError):
-    """Raised when step halving bottoms out without residual decrease."""
+    """Raised when pivoting cannot proceed: a basis recurs or a free block is singular."""
 
 
 class NoConvergence(NetgamesError):

@@ -87,6 +87,23 @@ class TestSolve:
         assert code == 2
         assert "singular" in err.lower()
 
+    def test_constrained_readme_game(self, game_file, capsys):
+        # I+G is not a P-matrix here; the boundary solution has x_3 = 0
+        code, out, _ = run_cli(capsys, "solve", "--game", game_file(README_GAME), "--constrained")
+        assert code == 0
+        x = np.array(json.loads(out)["x"])
+        g, a = np.array(README_GAME["g"]), np.array(README_GAME["a"])
+        f = x + g @ x - a
+        assert np.min(x) >= 0.0
+        assert max(np.max(np.abs(x - np.maximum(x - f, 0.0))), np.max(np.abs(x * f))) <= 1e-9
+
+    def test_no_convergence_exit_5(self, game_file, capsys):
+        # LCP(I+G, -a) without a solution: each of its 4 bases violates a sign
+        path = game_file({"n": 2, "g": [[0, -2], [-2, 0]], "a": [1.0, 1.0]})
+        code, _, err = run_cli(capsys, "solve", "--game", path, "--constrained")
+        assert code == 5
+        assert "no convergence" in err
+
     def test_malformed_exit_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"n": 2, "g": [[0, 1]')
@@ -227,6 +244,19 @@ class TestPerturb:
         )
         assert code == 0
         assert out == (GOLDEN / "perturb_four_player.csv").read_text()
+
+    def test_constrained_readme_sweep(self, game_file, tmp_path, capsys):
+        ppath = tmp_path / "pattern.json"
+        ppath.write_text(json.dumps(README_PATTERN))
+        code, out, _ = run_cli(
+            capsys,
+            "perturb", "--game", game_file(FOUR_PLAYER_GAME), "--pattern", str(ppath),
+            "--from", "-0.6", "--to", "0.6", "--steps", "121", "--constrained",
+        )
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 121
+        assert all(row.split(",")[2] == "true" for row in rows)
 
     def test_rejects_pg_game(self, game_file, capsys):
         path = game_file(

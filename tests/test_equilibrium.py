@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from lcp_oracle import box_lcp_solutions
 
 from netgames import (
     AdjacencyMatrix,
@@ -11,6 +15,7 @@ from netgames import (
     PublicGoodsGame,
     SingularSystem,
     cert_strong_monotone,
+    p_matrix_check,
     social_cost,
     solve_ne_interior,
     solve_ne_pg,
@@ -264,6 +269,30 @@ class TestSolveVi:
             solve_vi(game, tol=0.0)
         with pytest.raises(ValueError):
             solve_vi(game, which="other")
+
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_p_matrix_games_match_enumeration(self, data):
+        # a P-matrix M gives one solution for every a; Murty's finiteness covers
+        # the orthant only, so the box draws are what check the box variant
+        n = data.draw(st.integers(1, 8), label="n")
+        unit = arrays(float, (n, n), elements=st.floats(-1.0, 1.0), fill=st.nothing())
+        g = data.draw(unit, label="g")
+        g = g * data.draw(st.floats(0.0, 1.5), label="scale") / np.sqrt(n)
+        np.fill_diagonal(g, 0.0)
+        a = data.draw(arrays(float, n, elements=st.floats(-1.0, 2.0)), label="a")
+        ub = data.draw(st.none() | arrays(float, n, elements=st.floats(0.1, 2.0)), label="ub")
+        which = data.draw(st.sampled_from(("ne", "social")), label="which")
+        x0 = data.draw(arrays(float, n, elements=st.floats(0.0, 2.0)), label="x0")
+        m = np.eye(n) + g + (g.T if which == "social" else 0.0)
+        assume(p_matrix_check(m))
+        expected = box_lcp_solutions(m, a, ub)
+        assert len(expected) >= 1
+        game = NetworkGame(AdjacencyMatrix(g), a, ub)
+        for start in (None, x0):
+            eq = solve_vi(game, which=which, x0=start)
+            # every oracle point is this one (a degenerate solution shows up once per state)
+            assert np.max(np.abs(expected - eq.x.x)) <= 1e-8
 
 
 class TestSolveNePg:

@@ -4,6 +4,7 @@ import io
 
 import numpy as np
 import pytest
+from lcp_oracle import box_lcp_solutions
 
 from netgames import (
     AdjacencyMatrix,
@@ -137,6 +138,22 @@ class TestSweep:
         assert all(r.feasible for r in report.rows)
         assert all(np.min(r.x_star) >= 0 for r in report.rows)
         assert np.isfinite(report.lipschitz_cost)
+
+    def test_constrained_readme_sweep_matches_enumeration(self):
+        # the whole README grid, down to delta = -0.6 where I+G is barely monotone
+        # (its symmetric part has smallest eigenvalue 0.03)
+        report = sweep(four_node_config(solver="constrained"))
+        base = four_player_symmetric_example()
+        a = base.a
+        assert len(report.rows) == 121
+        for row in report.rows:
+            assert row.feasible and not row.singular
+            m = np.eye(4) + base.adjacency.g + row.delta * PATTERN4
+            x = row.x_star
+            assert np.max(np.abs(x - np.maximum(x - (m @ x - a), 0.0))) <= 1e-10
+            expected = box_lcp_solutions(m, a)
+            assert len(expected) >= 1
+            assert np.max(np.abs(expected - x)) <= 1e-8
 
     def test_config_validation(self):
         game = four_player_symmetric_example()
