@@ -122,6 +122,7 @@ def _cmd_design(args) -> int:
         "rejected_negative": run.rejected_negative,
         "converged_starts": run.converged_starts,
         "best_residual": run.best_residual,
+        "iterations": run.iterations,
     }
     _emit_json(doc, args.out)
     return EXIT_OK

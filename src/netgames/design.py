@@ -4,8 +4,9 @@ The design target is the pair of conditions ``(I+G)x = a`` and ``G^T x = 0``:
 a network whose Nash equilibrium is simultaneously the social optimum.
 ``design_solve`` recovers free adjacency entries by multi-start damped
 Gauss-Newton on the stacked bilinear residual, advancing all starts of a sweep
-in lockstep as one batch; ``symmetric_design`` uses the closed-form symmetric
-construction (x* = a with Ga = 0).
+in lockstep as one batch: steps come from a batched solve on square systems (a
+pseudo-inverse otherwise) and step lengths from the residual's exact quadratic
+expansion.  ``symmetric_design`` uses the closed-form construction x* = a, Ga = 0.
 """
 
 from __future__ import annotations
@@ -97,6 +98,7 @@ class DesignRun:
     rejected_negative: int
     converged_starts: int
     best_residual: float
+    iterations: int  # batch Newton iterations, summed over the sweeps run
 
 
 @dataclass(frozen=True)
@@ -227,6 +229,57 @@ def four_player_symmetric_example(t: float = 0.1, u: float = 0.2) -> NetworkGame
     return NetworkGame(adjacency=AdjacencyMatrix(g), a=np.ones(4))
 
 
+def _bilinear_system(problem: DesignProblem):
+    """``build_g``, ``residual``, ``jacobian``, ``free_terms`` and ``step`` on batches
+    u = [x, g_free] of shape (K, n+m).  R = [(I+G)x - a; G^T x] is bilinear, so
+    ``R(u + t du) = R(u) + t J(u) du + t^2 free_terms(du)`` holds exactly."""
+    n, a, g0, m = problem.n, problem.a, problem.base_matrix(), len(problem.free)
+    rows = np.array([i - 1 for i, _ in problem.free], dtype=int)
+    cols = np.array([j - 1 for _, j in problem.free], dtype=int)
+    # R(u) = jac0 u - [a; 0] + free_terms(u), which sums each product u_left * u_right
+    # into its target row: g_pq*x_q into row p of Gx and g_pq*x_p into row q of G^T x
+    slots = n + np.arange(m)
+    left, right, target = np.r_[slots, slots], np.r_[cols, rows], np.r_[rows, n + cols]
+    scatter, a0 = np.eye(2 * n)[target], np.r_[a, np.zeros(n)]
+    jac0 = np.zeros((2 * n, n + m))
+    jac0[:n, :n], jac0[n:, :n] = np.eye(n) + g0, g0.T
+    # J is jac0 plus each product's partials (jac0 is zero there): u_right at
+    # (target, left) and u_left at (target, right)
+    where = np.ravel_multi_index((np.r_[target, target], np.r_[left, right]), jac0.shape)
+    partials = np.r_[right, left]
+    rcond = max(2 * n, n + m) * np.finfo(float).eps  # lstsq's cutoff, relative to s_max
+
+    def build_g(gf):
+        """Adjacency matrix for free-entry values gf."""
+        g = g0.copy()
+        g[rows, cols] = gf
+        return g
+
+    def free_terms(u):
+        return (u[:, left] * u[:, right]) @ scatter
+
+    def residual(u):
+        return u @ jac0.T - a0 + free_terms(u)
+
+    def jacobian(u):
+        jac = np.repeat(jac0[None], len(u), axis=0)
+        jac.reshape(len(u), -1)[:, where] = u[:, partials]
+        return jac
+
+    def step(jac, r):
+        """Steps -J^+ r: LU when m = n, else (and where LU fails) min-norm least squares."""
+        try:  # raises on a non-square J or an exactly singular member
+            du = -np.linalg.solve(jac, r[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            du = np.full((len(jac), n + m), np.nan)
+        bad = ~np.all(np.isfinite(du), axis=1)
+        if bad.any():
+            du[bad] = -(np.linalg.pinv(jac[bad], rcond=rcond) @ r[bad, :, None])[..., 0]
+        return du
+
+    return build_g, residual, jacobian, free_terms, step
+
+
 def design_solve(
     problem: DesignProblem,
     starts: int = 64,
@@ -238,106 +291,79 @@ def design_solve(
     Starts sample x in [0, max(a)] and free entries in [-5, 5]; on total
     failure the whole sweep is retried with entries in [-50, 50].  All starts
     of a sweep advance in lockstep as one (starts, n+m) batch: each iteration
-    takes the minimum-norm least-squares step of every live start from one
-    stacked pseudo-inverse (lstsq's cutoff max(2n, n+m)*eps*s_max) and
-    evaluates all 40 halvings of it at once, keeping the first that lowers
-    the residual 2-norm.  A start stops at residual 1e-13*(1+||a||_inf),
-    after 80 iterations, or when no halving helps (it keeps its iterate); a
-    start whose step is not finite is dropped.  Converged iterates with any
-    x_i < -tol are excluded and counted in diagnostics.  Distinct accepted
-    branches (relative sup distance > 1e-4) are returned in canonical order;
-    raises NoSolutionFound when none survive, and ValueError unless
-    ``starts >= 1`` and ``tol > 0``.
+    steps every live start by one batched LU solve when the Jacobian is square
+    (else by a stacked pseudo-inverse) and takes the first of 40 halvings that
+    lowers the residual 2-norm, found from R's exact quadratic expansion and
+    confirmed on the true residual.  A start stops at residual
+    1e-13*(1+||a||_inf), after 80 iterations, or when no halving helps (it
+    keeps its iterate); a start whose step is not finite is dropped.
+    Converged iterates with any x_i < -tol are excluded and counted in
+    diagnostics.  Distinct accepted branches (relative sup distance > 1e-4)
+    are returned in canonical order; raises NoSolutionFound when none survive,
+    and ValueError unless ``starts >= 1`` and ``tol > 0``.
     """
     if starts < 1 or not tol > 0:
         raise ValueError(f"need starts >= 1 and tol > 0, got starts={starts}, tol={tol}")
-    n = problem.n
-    a = problem.a
-    g0 = problem.base_matrix()
-    m = len(problem.free)
-    rows = np.array([i - 1 for i, _ in problem.free], dtype=int)
-    cols = np.array([j - 1 for _, j in problem.free], dtype=int)
-    slots = n + np.arange(m)
-    # one-hot maps scattering the free-entry terms g_pq*x_q into row p of Gx
-    # and g_pq*x_p into row q of G^T x
-    to_rows = np.eye(n)[rows]
-    to_cols = np.eye(n)[cols]
-    eye = np.eye(n)
+    n, a, m = problem.n, problem.a, len(problem.free)
+    build_g, residual, jacobian, free_terms, step = _bilinear_system(problem)
     halvings = 0.5 ** np.arange(40)
-    rcond = max(2 * n, n + m) * np.finfo(float).eps
-
-    def build_g(gf):
-        """Adjacency matrices for free-entry values of shape (..., m)."""
-        g = np.broadcast_to(g0, gf.shape[:-1] + (n, n)).copy()
-        g[..., rows, cols] = gf
-        return g
-
-    def residual(u):
-        """Rows of [(I+G)x - a; G^T x] for iterates u of shape (K, n+m)."""
-        x, gf = u[:, :n], u[:, n:]
-        gx = x @ g0.T + (gf * x[:, cols]) @ to_rows
-        gtx = x @ g0 + (gf * x[:, rows]) @ to_cols
-        return np.concatenate([x + gx - a, gtx], axis=1)
-
-    def jacobian(u):
-        x = u[:, :n]
-        g = build_g(u[:, n:])
-        jac = np.zeros((len(u), 2 * n, n + m))
-        jac[:, :n, :n] = eye + g
-        jac[:, n:, :n] = g.transpose(0, 2, 1)
-        jac[:, rows, slots] = x[:, cols]
-        jac[:, n + cols, slots] = x[:, rows]
-        return jac
-
     hard_tol = 1e-13 * (1.0 + _norm_inf(a))
     x_hi = float(np.max(a)) if float(np.max(a)) > 0 else 1.0
 
     def polish(u):
-        """Damped Gauss-Newton on every row of u; returns the kept iterates and their residuals."""
+        """Damped Gauss-Newton on every row of u; returns kept iterates, residuals, iterations."""
         r = residual(u)
         norm = np.linalg.norm(r, axis=1)
         kept = np.ones(len(u), dtype=bool)
         live = kept.copy()
-        for _ in range(80):
+        for it in range(81):  # at most 80 iterations
             live &= np.max(np.abs(r), axis=1) > hard_tol
             idx = np.flatnonzero(live)
-            if not idx.size:
-                break
-            du = -(np.linalg.pinv(jacobian(u[idx]), rcond=rcond) @ r[idx, :, None])[..., 0]
+            if not idx.size or it == 80:
+                return u[kept], r[kept], it
+            jac = jacobian(u[idx])
+            du = step(jac, r[idx])
             finite = np.all(np.isfinite(du), axis=1)
             kept[idx[~finite]] = live[idx[~finite]] = False
-            idx, du = idx[finite], du[finite]
-            cand = u[idx, None, :] + halvings[:, None] * du[:, None, :]
-            r_cand = residual(cand.reshape(-1, n + m)).reshape(len(idx), 40, 2 * n)
-            n_cand = np.linalg.norm(r_cand, axis=2)
-            lower = n_cand < norm[idx, None]
-            first = np.argmax(lower, axis=1)
-            moved = lower[np.arange(len(idx)), first]
+            idx, du, jac = idx[finite], du[finite], jac[finite]
+            lin, quad = jac @ du[..., None], free_terms(du)[..., None]
+            v = r[idx, :, None] + halvings * (lin + halvings * quad)  # R(u + t du), (K, 2n, 40)
+            lower = np.einsum("kit,kit->kt", v, v) < norm[idx, None] ** 2
+            cand = u[idx] + halvings[np.argmax(lower, axis=1), None] * du
+            r_new = residual(cand)
+            n_new = np.linalg.norm(r_new, axis=1)
+            # no halving lowers, or rounding undid the drop: judge the halvings on true residuals
+            for i in np.flatnonzero(~(n_new < norm[idx])):
+                c = u[idx[i]] + halvings[:, None] * du[i]
+                r_c = residual(c)
+                n_c = np.linalg.norm(r_c, axis=1)
+                k = np.argmax(n_c < norm[idx[i]])
+                cand[i], r_new[i], n_new[i] = c[k], r_c[k], n_c[k]
+            moved = n_new < norm[idx]
             live[idx[~moved]] = False  # stalled: keeps its iterate
-            pick, first = np.flatnonzero(moved), first[moved]
-            idx = idx[pick]
-            u[idx], r[idx], norm[idx] = cand[pick, first], r_cand[pick, first], n_cand[pick, first]
-        return u[kept], r[kept]
+            idx = idx[moved]
+            u[idx], r[idx], norm[idx] = cand[moved], r_new[moved], n_new[moved]
 
     def run_sweep(box):
         rng = np.random.default_rng(seed)
         lo = np.concatenate([np.zeros(n), np.full(m, -box)])
         hi = np.concatenate([np.full(n, x_hi), np.full(m, box)])
         # row-major draws: per start, n actions then m free entries, as one stream
-        u, r = polish(rng.uniform(lo, hi, (starts, n + m)))
+        u, r, iterations = polish(rng.uniform(lo, hi, (starts, n + m)))
         res = np.max(np.abs(r), axis=1)
         best = float(np.min(res, initial=np.inf))
         converged = res <= tol
         negative = converged & (np.min(u[:, :n], axis=1) < -tol)
         accepted = list(u[converged & ~negative])
-        return accepted, int(np.sum(negative)), int(np.sum(converged)), best
+        return accepted, int(np.sum(negative)), int(np.sum(converged)), best, iterations
 
-    accepted, rejected, converged, best = run_sweep(5.0)
+    accepted, rejected, converged, best, iterations = run_sweep(5.0)
     if not accepted:
-        accepted, rejected2, converged2, best2 = run_sweep(50.0)
+        accepted, rejected2, converged2, best2, iterations2 = run_sweep(50.0)
         rejected += rejected2
         converged += converged2
         best = min(best, best2)
+        iterations += iterations2
     if not accepted:
         raise NoSolutionFound(
             f"no admissible design found in {2 * starts} starts "
@@ -374,6 +400,7 @@ def design_solve(
         rejected_negative=rejected,
         converged_starts=converged,
         best_residual=best,
+        iterations=iterations,
     )
 
 

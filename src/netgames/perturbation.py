@@ -2,7 +2,8 @@
 
 A sweep solves the game along ``G(delta) = G + delta * pattern`` and records
 cost, feasibility, and continuity margins per grid point, plus empirical
-Lipschitz ratios between adjacent points.  Singular grid points are marked,
+Lipschitz ratios between adjacent points.  A grid point where the solver
+fails (a singular system, or no convergence) is marked by its row's status,
 never fatal.
 """
 
@@ -15,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certificates import cert_continuity
-from .errors import InsufficientData, SingularSystem
+from .errors import InsufficientData, MaxItersExceeded, SingularSystem, StepSelectionFailed
 from .games import TOL_NONNEG, AdjacencyMatrix, NetworkGame, social_cost
 from .equilibrium import solve_ne_interior, solve_vi
 
-CSV_HEADER = ("delta", "social_cost", "feasible", "min_x", "spectral_margin")
+CSV_HEADER = ("delta", "social_cost", "feasible", "min_x", "spectral_margin", "status")
 
 
 def default_grid() -> np.ndarray:
@@ -61,13 +62,17 @@ class SweepConfig:
 @dataclass(frozen=True)
 class SweepRow:
     delta: float
-    x_star: np.ndarray | None  # None when the grid point is singular
+    x_star: np.ndarray | None  # None unless status is "ok"
     social_cost: float
     feasible: bool
     min_x: float
     spectral_margin: float
     rowsum_margin: float
-    singular: bool
+    status: str  # "ok", "singular" or "no-convergence"
+
+    @property
+    def singular(self) -> bool:
+        return self.status == "singular"
 
 
 @dataclass(frozen=True)
@@ -95,8 +100,10 @@ def sweep(config: SweepConfig) -> SweepReport:
     """Solve the perturbed game at every grid point and assemble the report.
 
     Interior rows are infeasible when the un-clamped solution has a negative
-    component; constrained rows are always feasible.  SingularSystem at a
-    grid point marks the row and the sweep continues.
+    component; constrained rows are always feasible.  A grid point whose
+    solve raises SingularSystem gets status "singular", one whose solve
+    raises StepSelectionFailed or MaxItersExceeded gets "no-convergence"; the
+    row has no solution and the sweep continues.
     """
     base = config.base_game
     g0 = base.adjacency.g
@@ -106,6 +113,7 @@ def sweep(config: SweepConfig) -> SweepReport:
         g = g0 + delta * config.delta_pattern
         spectral, rowsum = (cert.margin for cert in cert_continuity(g))
         game = NetworkGame(AdjacencyMatrix(g), base.a, base.upper_bound)
+        status = "ok"
         try:
             if config.solver == "interior":
                 x = solve_ne_interior(game).x.x
@@ -114,7 +122,9 @@ def sweep(config: SweepConfig) -> SweepReport:
                 x = solve_vi(game, which="ne").x.x
                 feasible = True
         except SingularSystem:
-            x, feasible = None, False
+            x, feasible, status = None, False, "singular"
+        except (StepSelectionFailed, MaxItersExceeded):
+            x, feasible, status = None, False, "no-convergence"
         rows.append(
             SweepRow(
                 delta=float(delta),
@@ -124,7 +134,7 @@ def sweep(config: SweepConfig) -> SweepReport:
                 min_x=math.nan if x is None else float(np.min(x)),
                 spectral_margin=spectral,
                 rowsum_margin=rowsum,
-                singular=x is None,
+                status=status,
             )
         )
 
@@ -185,7 +195,7 @@ def lipschitz_check(report: SweepReport, k_cap: float) -> LipschitzCheck:
 
 
 def write_csv(report: SweepReport, stream) -> None:
-    """Emit `delta,social_cost,feasible,min_x,spectral_margin` rows."""
+    """Emit `delta,social_cost,feasible,min_x,spectral_margin,status` rows."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for row in report.rows:
@@ -196,5 +206,6 @@ def write_csv(report: SweepReport, stream) -> None:
                 "true" if row.feasible else "false",
                 f"{row.min_x:.12g}",
                 f"{row.spectral_margin:.12g}",
+                row.status,
             ]
         )

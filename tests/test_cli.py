@@ -148,6 +148,14 @@ class TestDesign:
         sol = doc["solutions"][0]
         assert sol["residual_ne"] <= 1e-8 and sol["residual_orth"] <= 1e-8
 
+    def test_reports_iterations(self, tmp_path, capsys):
+        problem = {"n": 2, "a": [1.0, 1.0], "fixed": [], "free": [[1, 2], [2, 1]]}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        code, out, _ = run_cli(capsys, "design", "--problem", str(path), "--starts", "8")
+        assert code == 0
+        assert 1 <= json.loads(out)["iterations"] <= 160
+
     def test_no_solution_exit_3(self, tmp_path, capsys):
         problem = {
             "n": 2,
@@ -230,7 +238,7 @@ class TestPerturb:
         )
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "delta,social_cost,feasible,min_x,spectral_margin"
+        assert lines[0] == "delta,social_cost,feasible,min_x,spectral_margin,status"
         assert len(lines) == 11
         assert any(line.split(",")[2] == "false" for line in lines[1:])
 
@@ -257,6 +265,21 @@ class TestPerturb:
         rows = out.strip().splitlines()[1:]
         assert len(rows) == 121
         assert all(row.split(",")[2] == "true" for row in rows)
+
+    def test_failed_grid_points_keep_their_rows(self, game_file, tmp_path, capsys):
+        # I+G is not a P-matrix below delta = 0.5 and that LCP has no solution
+        ppath = tmp_path / "pattern.json"
+        ppath.write_text(json.dumps({"n": 2, "g": [[0, 1], [1, 0]]}))
+        code, out, _ = run_cli(
+            capsys,
+            "perturb", "--game", game_file({"n": 2, "g": [[0, -1.5], [-1.5, 0]], "a": [1, 1]}),
+            "--pattern", str(ppath), "--from", "-0.6", "--to", "0.6", "--steps", "7",
+            "--constrained",
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [row[5] for row in rows] == ["no-convergence"] * 6 + ["ok"]
+        assert rows[0][1] == "nan" and rows[0][2] == "false"
 
     def test_rejects_pg_game(self, game_file, capsys):
         path = game_file(

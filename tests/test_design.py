@@ -21,7 +21,7 @@ from netgames import (
     solve_social_interior,
     symmetric_design,
 )
-from netgames.design import DISTINCT_TOL
+from netgames.design import DISTINCT_TOL, _bilinear_system
 
 EX3_G = np.array(
     [
@@ -346,6 +346,12 @@ class TestDesignSolve:
             problem = DesignProblem(n=2, a=ones, fixed=fixed, free=free)
             assert not self.assert_same_branches_as_reference(problem, 8, 3)
 
+    def test_reports_batch_iterations(self):
+        # README seed 0 ends at the 80-iteration cap: some starts still crawl there
+        assert design_solve(self.problem3(), starts=64, seed=0).iterations == 80
+        problem = DesignProblem(n=2, a=np.ones(2), fixed=(), free=((1, 2), (2, 1)))
+        assert 1 <= design_solve(problem, starts=8, seed=2).iterations <= 160
+
     def test_problem_validation(self):
         with pytest.raises(ValueError):
             DesignProblem(n=2, a=np.ones(2), fixed=((1, 1, 0.5),), free=())
@@ -359,6 +365,76 @@ class TestDesignSolve:
         # out-of-range arguments are caller errors, not a failed search
         with pytest.raises(ValueError):
             design_solve(self.problem3(), **kwargs)
+
+
+README_PROBLEM = DesignProblem(
+    n=3, a=EX3_A, fixed=((1, 2, -2.0), (3, 1, -3.0), (2, 3, 2.0)), free=((2, 1), (1, 3), (3, 2))
+)
+# two free entries for three players: a 6 x 5 Jacobian
+NON_SQUARE_PROBLEM = DesignProblem(
+    n=3, a=EX3_A, fixed=((1, 2, -2.0), (3, 1, -3.0), (2, 3, 2.0), (2, 1, 1.2)), free=((1, 3), (3, 2))
+)
+
+
+class TestNewtonKernel:
+    """The batched maps and step behind ``design_solve``."""
+
+    @pytest.mark.parametrize("problem", [README_PROBLEM, NON_SQUARE_PROBLEM])
+    def test_quadratic_expansion_is_exact(self, problem):
+        _, residual, jacobian, free_terms, _ = _bilinear_system(problem)
+        n, k = problem.n, problem.n + len(problem.free)
+        rng = np.random.default_rng(7)
+        u = rng.uniform(-5.0, 5.0, (200, k))
+        du = rng.standard_normal((200, k)) * 10.0 ** rng.uniform(-4, 2, (200, 1))
+        t = rng.uniform(0.0, 1.0, (200, 1))
+        r = residual(u)
+        g = np.array([_with_free(problem, v[n:]) for v in u])
+        x = u[:, :n]
+        want = np.concatenate([x + np.einsum("kij,kj->ki", g, x) - problem.a,
+                               np.einsum("kji,kj->ki", g, x)], axis=1)
+        assert np.max(np.abs(r - want) / (1.0 + np.abs(want))) <= 1e-12
+        lin = np.einsum("kij,kj->ki", jacobian(u), du)
+        terms = (r, t * lin, t**2 * free_terms(du))
+        scale = np.max(np.abs(np.concatenate(terms, axis=1)), axis=1)
+        err = np.max(np.abs(residual(u + t * du) - sum(terms)), axis=1)
+        assert np.max(err / scale) <= 1e-12
+
+    def test_square_solve_step_equals_pinv_step(self, monkeypatch):
+        *_, step = _bilinear_system(README_PROBLEM)
+        rng = np.random.default_rng(11)
+        jac = rng.standard_normal((64, 6, 6)) + 5.0 * np.eye(6)
+        assert np.max(np.linalg.cond(jac)) < 100.0
+        r = rng.standard_normal((64, 6))
+        want = -(np.linalg.pinv(jac) @ r[..., None])[..., 0]
+
+        def no_pinv(*args, **kwargs):
+            raise AssertionError("a well-conditioned square batch must not need pinv")
+
+        monkeypatch.setattr(np.linalg, "pinv", no_pinv)
+        got = step(jac, r)
+        assert np.max(np.abs(got - want) / np.max(np.abs(want), axis=1, keepdims=True)) <= 1e-10
+
+    def test_exactly_singular_member_gets_pinv_step(self):
+        *_, step = _bilinear_system(README_PROBLEM)
+        rng = np.random.default_rng(13)
+        jac = rng.standard_normal((8, 6, 6)) + 5.0 * np.eye(6)
+        jac[3, 4] = 0.0  # a zero row: LU meets an exact zero pivot
+        r = rng.standard_normal((8, 6))
+        got = step(jac, r)
+        rcond = 6 * np.finfo(float).eps  # lstsq's cutoff max(2n, n+m)*eps
+        for i in (3, 0):
+            want = -np.linalg.pinv(jac[i], rcond=rcond) @ r[i]
+            np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-12 * sup(want))
+        # the pseudo-inverse step is lstsq's minimum-norm least-squares step
+        lstsq, *_ = np.linalg.lstsq(jac[3], -r[3], rcond=None)
+        np.testing.assert_allclose(got[3], lstsq, rtol=1e-10, atol=1e-10 * sup(lstsq))
+
+
+def _with_free(problem, gf):
+    g = problem.base_matrix()
+    for (i, j), v in zip(problem.free, gf):
+        g[i - 1, j - 1] = v
+    return g
 
 
 class TestPgCoincidence:

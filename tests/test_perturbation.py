@@ -111,6 +111,24 @@ class TestSweep:
         assert not report.rows[1].singular
         assert np.isnan(report.rows[0].social_cost)
 
+    def test_failed_points_get_a_status_not_an_abort(self):
+        # below delta = 0.5 the off-diagonal entries are <= -1.1: I+G is not a
+        # P-matrix and the LCP has no solution, so pivoting cannot proceed there
+        config = SweepConfig(
+            base_game=lq(np.array([[0.0, -1.5], [-1.5, 0.0]]), [1.0, 1.0]),
+            delta_pattern=np.array([[0.0, 1.0], [1.0, 0.0]]),
+            delta_grid=np.linspace(-0.6, 0.6, 7),
+            solver="constrained",
+        )
+        rows = sweep(config).rows
+        assert [r.status for r in rows] == ["no-convergence"] * 6 + ["ok"]
+        for r in rows[:6]:
+            assert r.x_star is None and not r.feasible and not r.singular
+            assert np.isnan(r.social_cost)
+        np.testing.assert_allclose(rows[6].x_star, [10.0, 10.0], rtol=1e-12)
+        singular = sweep(SweepConfig(lq(np.zeros((2, 2)), [1.0, 1.0]), config.delta_pattern, [-1.0]))
+        assert singular.rows[0].status == "singular" and singular.rows[0].singular
+
     def test_bounded_game_reports_box_radius(self):
         game = NetworkGame(
             AdjacencyMatrix(np.zeros((2, 2))),
@@ -212,8 +230,9 @@ class TestCsv:
         buf = io.StringIO()
         write_csv(report, buf)
         lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "delta,social_cost,feasible,min_x,spectral_margin"
+        assert lines[0] == "delta,social_cost,feasible,min_x,spectral_margin,status"
         assert len(lines) == 4
         fields = lines[1].split(",")
         assert fields[2] in ("true", "false")
+        assert fields[5] == "ok"
         float(fields[0]), float(fields[1]), float(fields[3]), float(fields[4])
