@@ -27,12 +27,10 @@ from .equilibrium import (
 )
 from .errors import (
     GameFileError,
-    MaxItersExceeded,
     NetgamesError,
     NoConvergence,
     NoSolutionFound,
     SingularSystem,
-    StepSelectionFailed,
 )
 from .games import PublicGoodsGame
 from .gamefile import load_game, load_pattern, load_problem
@@ -289,7 +287,7 @@ def main(argv=None) -> int:
     except NoSolutionFound as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_SOLUTION
-    except (StepSelectionFailed, MaxItersExceeded, NoConvergence) as exc:
+    except NoConvergence as exc:
         print(f"error: no convergence: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except NetgamesError as exc:

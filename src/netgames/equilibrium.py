@@ -1,12 +1,15 @@
 """Equilibrium and social-optimum solvers.
 
-Interior solutions come from dense linear solves of ``(I+G)x = a`` and
-``(I+G+G^T)y = a`` in ``solve_linear``, where one inverse gives the exact
-1-norm reciprocal condition, the solution and every refinement step.  On the
+Every solver reads its first-order map ``F(x) = Mx - b`` from
+``games._system``: ``(I+G, a)`` for the Nash equilibrium, ``(I+G+G^T, a)``
+for the social optimum, and ``(I + diag(1-d) S, c + d*theta)`` with S = G or
+G+G^T for their affine public-goods analogues.  Interior solutions solve
+``Mx = b`` in ``solve_linear``, where one inverse gives the exact 1-norm
+reciprocal condition, the solution and every refinement step.  On the
 nonnegative orthant (or a box) the solution concept is the variational
 inequality VI(X, F), a linear complementarity problem; ``solve_vi`` solves it
-by least-index principal pivoting, one ``solve_linear`` per pivot.
-Public-goods games get the analogous fixed points.
+by least-index principal pivoting, one ``solve_linear`` per pivot.  A custom
+public-goods equilibrium is a fixed-point iteration.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .games import (
     ActionProfile,
     NetworkGame,
     PublicGoodsGame,
+    _system,
     profile_vector,
 )
 
@@ -64,9 +68,14 @@ def _norm_inf(v) -> float:
     return float(np.max(np.abs(v))) if v.size else 0.0
 
 
-def _natural_residual(x: np.ndarray, f: np.ndarray, ub) -> float:
-    """Natural residual ``||x - clip(x - f, 0, ub)||_inf`` of the box VI (ub None: no cap)."""
-    return _norm_inf(x - np.clip(x - f, 0.0, ub))
+def _vi_residual(x: np.ndarray, f: np.ndarray, ub) -> tuple[float, float]:
+    """Natural residual ``||x - clip(x - f, 0, ub)||_inf`` and complementarity of VI([0, ub], F).
+
+    f = F(x); ub None means no cap.  At a box solution each player sits on a
+    face where the matching complementarity term vanishes.
+    """
+    comp = x * f if ub is None else x * np.maximum(f, 0) + (ub - x) * np.minimum(f, 0)
+    return _norm_inf(x - np.clip(x - f, 0.0, ub)), _norm_inf(comp)
 
 
 def _inverse(m: np.ndarray) -> tuple[np.ndarray, float]:
@@ -112,8 +121,10 @@ def _result(x, kind, stationarity, complementarity=0.0) -> EquilibriumResult:
     )
 
 
-def _interior_result(m, b, kind) -> EquilibriumResult:
-    x = solve_linear(m, b, 1e-10 * (1.0 + _norm_inf(b)))
+def _solve_system(game, which: str, kind: str, tol: float = DEFAULT_TOL) -> EquilibriumResult:
+    """Solve ``Mx = b`` for the ``(M, b)`` of ``_system(game, which)``."""
+    m, b = _system(game, which)
+    x = solve_linear(m, b, tol * (1.0 + _norm_inf(b)))
     return _result(x, kind, _norm_inf(m @ x - b))
 
 
@@ -123,13 +134,12 @@ def solve_ne_interior(game: NetworkGame) -> EquilibriumResult:
     Negative components are returned un-clamped with ``interior=False``;
     ``solve_vi`` is the authority on the nonnegative orthant.
     """
-    return _interior_result(np.eye(game.n) + game.adjacency.g, game.a, "interior-ne")
+    return _solve_system(game, "ne", "interior-ne")
 
 
 def solve_social_interior(game: NetworkGame) -> EquilibriumResult:
     """Interior social optimum from (I+G+G^T)y = a."""
-    g = game.adjacency.g
-    return _interior_result(np.eye(game.n) + g + g.T, game.a, "interior-social")
+    return _solve_system(game, "social", "interior-social")
 
 
 _AT_ZERO, _FREE, _AT_UB = 0, 1, 2
@@ -162,29 +172,18 @@ def solve_vi(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if which not in ("ne", "social"):
-        raise ValueError(f"which must be 'ne' or 'social', got {which!r}")
-    g = game.adjacency.g
-    m = np.eye(game.n) + g + (g.T if which == "social" else 0.0)
-    a = game.a
+    m, a = _system(game, which)
     ub = game.upper_bound
     hi = np.inf if ub is None else ub
-
-    def check(xv):
-        fv = m @ xv - a
-        # at a box solution each player sits on a face where the matching term vanishes
-        comp = xv * fv if ub is None else xv * np.maximum(fv, 0) + (ub - xv) * np.minimum(fv, 0)
-        return fv, _natural_residual(xv, fv, ub), _norm_inf(comp)
-
     x = np.clip(np.zeros(game.n) if x0 is None else profile_vector(x0, game.n), 0.0, ub)
     state = np.where(x <= 0.0, _AT_ZERO, np.where(x >= hi, _AT_UB, _FREE)).astype(np.int8)
     visited = set()
     for _ in range(max_iters):
-        f, res, comp = check(x)
+        f = m @ x - a
+        res, comp = _vi_residual(x, f, ub)
         if res <= tol and comp <= tol and (ub is not None or np.min(f) >= -tol):
             x = np.clip(x, 0.0, ub)  # a free player may sit a rounding error outside X
-            _, res, comp = check(x)
-            return _result(x, f"constrained-{which}", res, comp)
+            return _result(x, f"constrained-{which}", *_vi_residual(x, m @ x - a, ub))
         # a free player leaves only beyond tol, so rounding at a degenerate solution
         # (x_i = F_i = 0) cannot send it back and forth
         free = state == _FREE
@@ -206,7 +205,7 @@ def solve_vi(
                 x[fr] = solve_linear(m[np.ix_(fr, fr)], a[fr] - m[fr] @ x, tol)
             except SingularSystem as exc:
                 raise StepSelectionFailed(f"pivoting hit a singular free block: {exc}") from exc
-    _, res, comp = check(x)
+    res, comp = _vi_residual(x, m @ x - a, ub)
     raise MaxItersExceeded(
         f"no convergence in {max_iters} pivoting steps (residual {res:.3e})",
         best_x=ActionProfile(x),
@@ -222,15 +221,6 @@ def _pg_ne_residual(game: PublicGoodsGame, x: np.ndarray) -> float:
     return _norm_inf(x + z - game.gamma.value(game.theta + z))
 
 
-def _pg_social_residual(game: PublicGoodsGame, y: np.ndarray) -> float:
-    """Sup-norm of the affine social first-order map y + V G^T y + Gy - gamma(theta + Gy)."""
-    if not game.gamma.is_affine:
-        raise ValueError("the public-goods social optimum requires an affine gamma family")
-    g = game.adjacency.g
-    z = g @ y
-    return _norm_inf(y + (1.0 - game.gamma.d) * (g.T @ y) + z - game.gamma.value(game.theta + z))
-
-
 def solve_ne_pg(
     game: PublicGoodsGame,
     tol: float = DEFAULT_TOL,
@@ -242,42 +232,26 @@ def solve_ne_pg(
     ``(I + (I - diag(d)) G) x = c + d*theta``; custom families iterate
     ``x <- (I+G)^{-1} gamma(theta + Gx)`` to the requested residual.
     """
-    g = game.adjacency.g
-    n = game.n
     if game.gamma.is_affine:
-        d = game.gamma.d
-        m = np.eye(n) + (1.0 - d)[:, None] * g
-        b = game.gamma.c + d * game.theta
-        x = solve_linear(m, b, tol * (1.0 + _norm_inf(b)))
-    else:
-        inv, _ = _inverse(np.eye(n) + g)
-        x = np.zeros(n)
-        for _ in range(max_iters):
-            if _pg_ne_residual(game, x) <= tol:
-                break
-            x = inv @ game.gamma.value(game.theta + g @ x)
-        else:
-            raise NoConvergence(
-                f"fixed-point iteration did not reach tol={tol:g} "
-                f"in {max_iters} iterations (residual {_pg_ne_residual(game, x):.3e})"
-            )
-    return _result(x, "pg-ne", _pg_ne_residual(game, x))
+        return _solve_system(game, "ne", "pg-ne", tol)
+    g = game.adjacency.g
+    inv, _ = _inverse(np.eye(game.n) + g)
+    x = np.zeros(game.n)
+    for _ in range(max_iters):
+        if _pg_ne_residual(game, x) <= tol:
+            return _result(x, "pg-ne", _pg_ne_residual(game, x))
+        x = inv @ game.gamma.value(game.theta + g @ x)
+    raise NoConvergence(
+        f"fixed-point iteration did not reach tol={tol:g} "
+        f"in {max_iters} iterations (residual {_pg_ne_residual(game, x):.3e})"
+    )
 
 
 def solve_social_pg(game: PublicGoodsGame, tol: float = DEFAULT_TOL) -> EquilibriumResult:
     """Public-goods social optimum for affine gamma.
 
     Solves ``(I + V (G + G^T)) y = c + d*theta`` with V = diag(1 - d), built
-    as a row scale.  Custom families are not supported: the transpose-term
+    as a row scale.  Custom families raise ValueError: the transpose-term
     weights depend on the derivative at the unknown solution.
     """
-    if not game.gamma.is_affine:
-        raise ValueError("solve_social_pg requires an affine gamma family")
-    g = game.adjacency.g
-    n = game.n
-    d = game.gamma.d
-    v = 1.0 - d
-    m = np.eye(n) + v[:, None] * (g + g.T)
-    b = game.gamma.c + d * game.theta
-    y = solve_linear(m, b, tol * (1.0 + _norm_inf(b)))
-    return _result(y, "pg-social", _pg_social_residual(game, y))
+    return _solve_system(game, "social", "pg-social", tol)

@@ -17,7 +17,11 @@ class SingularSystem(NetgamesError):
     """Raised when a linear system is singular beyond tolerance."""
 
 
-class MaxItersExceeded(NetgamesError):
+class NoConvergence(NetgamesError):
+    """Raised when a solver stops short of a solution; the two classes below refine it."""
+
+
+class MaxItersExceeded(NoConvergence):
     """Raised when an iterative solver hits its iteration cap.
 
     Carries the iterate it stopped at (``best_x``) and its residual
@@ -33,12 +37,8 @@ class MaxItersExceeded(NetgamesError):
         self.iterations = iterations
 
 
-class StepSelectionFailed(NetgamesError):
+class StepSelectionFailed(NoConvergence):
     """Raised when pivoting cannot proceed: a basis recurs or a free block is singular."""
-
-
-class NoConvergence(NetgamesError):
-    """Raised when a fixed-point iteration fails to reach tolerance."""
 
 
 class InfeasibleDesign(NetgamesError):
@@ -57,14 +57,6 @@ class NoSolutionFound(NetgamesError):
         super().__init__(msg)
         self.best_residual = best_residual
         self.rejected_negative = rejected_negative
-
-
-class TooLarge(NetgamesError):
-    """Raised when an exhaustive check is requested beyond its size guard."""
-
-
-class NotSymmetric(NetgamesError):
-    """Raised when a matrix required to be symmetric is not."""
 
 
 class NotAnEquilibrium(NetgamesError):

@@ -4,6 +4,11 @@ Linear-quadratic network games: player i pays ``0.5*x_i**2 + (z_i - a_i)*x_i``
 with neighbor aggregate ``z = G @ x``.  The public-goods variant replaces the
 standalone benefit ``a_i`` by a demand function ``gamma_i(theta_i + z_i)``.
 Player indices in the public API are 1-based.
+
+Each solution concept is a variational inequality on ``F(x) = Mx - b``, and
+``_system`` alone builds ``(M, b)``: ``(I+G, a)`` for the LQ equilibrium,
+``(I+G+G^T, a)`` for the LQ optimum, and ``(I + diag(1-d) S, c + d*theta)``
+with S = G or G+G^T for the affine public-goods equilibrium and optimum.
 """
 
 from __future__ import annotations
@@ -213,6 +218,31 @@ class PublicGoodsGame:
         return self.adjacency.n
 
 
+def _system(game, which: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(M, b)`` of ``F(x) = Mx - b`` for ``which`` = "ne" (S = G) or "social" (S = G+G^T).
+
+    M = I + S, b = a for an LQ game; M = I + diag(1-d) S, b = c + d*theta for
+    an affine public-goods game.  Raises ValueError for a custom gamma.
+    """
+    if which not in ("ne", "social"):
+        raise ValueError(f"which must be 'ne' or 'social', got {which!r}")
+    g = game.adjacency.g
+    s = g + g.T if which == "social" else g
+    if not isinstance(game, PublicGoodsGame):
+        return np.eye(game.n) + s, game.a
+    if not game.gamma.is_affine:
+        raise ValueError("an affine first-order map requires an affine gamma family")
+    d = game.gamma.d
+    return np.eye(game.n) + (1.0 - d)[:, None] * s, game.gamma.c + d * game.theta
+
+
+def _costs(game, x: np.ndarray) -> np.ndarray:
+    """Every player's cost ``0.5*x_i**2 + (z_i - b_i)*x_i``, b = a or gamma(theta + z)."""
+    z = game.adjacency.g @ x
+    b = game.gamma.value(game.theta + z) if isinstance(game, PublicGoodsGame) else game.a
+    return 0.5 * x * x + (z - b) * x
+
+
 def aggregate(game, x) -> np.ndarray:
     """Neighbor aggregate z = G @ x."""
     xv = profile_vector(x, game.n)
@@ -223,10 +253,7 @@ def cost_lq(game: NetworkGame, i: int, x) -> float:
     """Cost of player i (1-based): 0.5*x_i**2 + (z_i - a_i)*x_i."""
     if not 1 <= i <= game.n:
         raise IndexError(f"player index {i} out of range 1..{game.n}")
-    xv = profile_vector(x, game.n)
-    z = game.adjacency.g @ xv
-    xi = xv[i - 1]
-    return float(0.5 * xi * xi + (z[i - 1] - game.a[i - 1]) * xi)
+    return float(_costs(game, profile_vector(x, game.n))[i - 1])
 
 
 def social_cost(game: NetworkGame, x) -> float:
@@ -240,11 +267,7 @@ def cost_pg(game: PublicGoodsGame, i: int, x) -> float:
     """Public-goods cost of player i: 0.5*x_i**2 + (z_i - gamma_i(theta_i+z_i))*x_i."""
     if not 1 <= i <= game.n:
         raise IndexError(f"player index {i} out of range 1..{game.n}")
-    xv = profile_vector(x, game.n)
-    z = game.adjacency.g @ xv
-    gam = game.gamma.value(game.theta + z)
-    xi = xv[i - 1]
-    return float(0.5 * xi * xi + (z[i - 1] - gam[i - 1]) * xi)
+    return float(_costs(game, profile_vector(x, game.n))[i - 1])
 
 
 def social_cost_pg(game: PublicGoodsGame, x) -> float:
@@ -257,12 +280,11 @@ def social_cost_pg(game: PublicGoodsGame, x) -> float:
 
 def grad_F(game: NetworkGame, x) -> np.ndarray:
     """Pseudo-gradient of individual costs: (I+G)x - a."""
-    xv = profile_vector(x, game.n)
-    return xv + game.adjacency.g @ xv - game.a
+    m, b = _system(game, "ne")
+    return m @ profile_vector(x, game.n) - b
 
 
 def grad_W(game: NetworkGame, x) -> np.ndarray:
     """Gradient of the social cost: (I+G+G^T)x - a."""
-    xv = profile_vector(x, game.n)
-    g = game.adjacency.g
-    return xv + g @ xv + g.T @ xv - game.a
+    m, b = _system(game, "social")
+    return m @ profile_vector(x, game.n) - b

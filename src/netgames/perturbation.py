@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certificates import cert_continuity
-from .errors import InsufficientData, MaxItersExceeded, SingularSystem, StepSelectionFailed
+from .errors import InsufficientData, NoConvergence, SingularSystem
 from .games import TOL_NONNEG, AdjacencyMatrix, NetworkGame, social_cost
 from .equilibrium import solve_ne_interior, solve_vi
 
@@ -100,10 +100,10 @@ def sweep(config: SweepConfig) -> SweepReport:
     """Solve the perturbed game at every grid point and assemble the report.
 
     Interior rows are infeasible when the un-clamped solution has a negative
-    component; constrained rows are always feasible.  A grid point whose
-    solve raises SingularSystem gets status "singular", one whose solve
-    raises StepSelectionFailed or MaxItersExceeded gets "no-convergence"; the
-    row has no solution and the sweep continues.
+    component; constrained rows are feasible when they solve.  A grid point
+    whose solve raises SingularSystem gets status "singular", one whose solve
+    raises NoConvergence gets "no-convergence"; that row has no solution, is
+    infeasible, and the sweep continues.
     """
     base = config.base_game
     g0 = base.adjacency.g
@@ -123,7 +123,7 @@ def sweep(config: SweepConfig) -> SweepReport:
                 feasible = True
         except SingularSystem:
             x, feasible, status = None, False, "singular"
-        except (StepSelectionFailed, MaxItersExceeded):
+        except NoConvergence:
             x, feasible, status = None, False, "no-convergence"
         rows.append(
             SweepRow(
@@ -177,13 +177,13 @@ def lipschitz_check(report: SweepReport, k_cap: float) -> LipschitzCheck:
     existential, so k_cap is caller-configured.  Raises InsufficientData
     with fewer than two feasible rows.
     """
-    feasible = [r for r in report.rows if r.feasible and not r.singular]
+    feasible = [r for r in report.rows if r.feasible]
     if len(feasible) < 2:
         raise InsufficientData("need at least two feasible rows")
     max_ratio = 0.0
     pairs = 0
     for prev, cur in zip(report.rows, report.rows[1:]):
-        if not (prev.feasible and cur.feasible) or prev.singular or cur.singular:
+        if not (prev.feasible and cur.feasible):
             continue
         pairs += 1
         num = abs(cur.social_cost - prev.social_cost)

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAnEquilibrium
-from .games import NetworkGame, PublicGoodsGame, grad_F, grad_W
+from .games import NetworkGame, PublicGoodsGame, _costs, _system
 from .equilibrium import CONSTRAINED_KINDS, INTERIOR_KINDS, NE_KINDS, PG_KINDS, EquilibriumResult
-from .equilibrium import _natural_residual, _norm_inf, _pg_ne_residual, _pg_social_residual
+from .equilibrium import _norm_inf, _pg_ne_residual, _vi_residual
 
 IR_TOL = 1e-9
 
@@ -37,15 +37,16 @@ class IrReport:
 
 
 def _residual_for(game, eq: EquilibriumResult) -> float:
+    """The residual the solver of ``eq.kind`` reports, recomputed from ``game``."""
     x = eq.x.x
-    if eq.kind in PG_KINDS:
-        return _pg_ne_residual(game, x) if eq.kind == "pg-ne" else _pg_social_residual(game, x)
-    if eq.kind not in INTERIOR_KINDS + CONSTRAINED_KINDS:
+    if eq.kind not in INTERIOR_KINDS + CONSTRAINED_KINDS + PG_KINDS:
         raise ValueError(f"unknown equilibrium kind {eq.kind!r}")
-    f = grad_F(game, x) if eq.kind in NE_KINDS else grad_W(game, x)
+    if eq.kind == "pg-ne" and not game.gamma.is_affine:
+        return _pg_ne_residual(game, x)
+    m, b = _system(game, "ne" if eq.kind in NE_KINDS else "social")
     if eq.kind in CONSTRAINED_KINDS:
-        return _natural_residual(x, f, game.upper_bound)
-    return _norm_inf(f)
+        return _vi_residual(x, m @ x - b, game.upper_bound)[0]
+    return _norm_inf(m @ x - b)
 
 
 def ir_check(game, eq: EquilibriumResult, tol: float = 1e-8) -> IrReport:
@@ -67,10 +68,8 @@ def ir_check(game, eq: EquilibriumResult, tol: float = 1e-8) -> IrReport:
             f"stationarity residual {residual:.3e} exceeds tolerance {tol:g}"
         )
     x = eq.x.x
-    z = game.adjacency.g @ x
-    pg = isinstance(game, PublicGoodsGame)
-    costs = 0.5 * x * x + (z - (game.gamma.value(game.theta + z) if pg else game.a)) * x
-    ub = None if pg else game.upper_bound
+    costs = _costs(game, x)
+    ub = None if isinstance(game, PublicGoodsGame) else game.upper_bound
     if eq.kind in NE_KINDS and eq.interior and (ub is None or np.all(x < ub - tol)):
         violated = np.flatnonzero(np.abs(costs + 0.5 * x**2) > IR_TOL)
         if violated.size:

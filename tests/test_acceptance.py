@@ -10,6 +10,7 @@ import json
 import time
 
 import numpy as np
+from matrix_oracles import p_matrix_check, spectral_facts_selftest
 
 from netgames import (
     AdjacencyMatrix,
@@ -26,14 +27,12 @@ from netgames import (
     design_solve,
     four_player_symmetric_example,
     ir_check,
-    p_matrix_check,
     parse_game,
     singularity_stats,
     social_cost,
     solve_ne_interior,
     solve_social_interior,
     solve_vi,
-    spectral_facts_selftest,
     sweep,
     symmetric_design,
     SweepConfig,

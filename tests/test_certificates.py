@@ -5,12 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from matrix_oracles import NotSymmetric, TooLarge, p_matrix_check, spectral_facts_selftest
 
 from netgames import (
     AdjacencyMatrix,
     NetworkGame,
-    NotSymmetric,
-    TooLarge,
     all_certificates,
     build_gamma_matrix,
     cert_block_p,
@@ -19,9 +18,7 @@ from netgames import (
     cert_gershgorin,
     cert_strong_monotone,
     four_player_symmetric_example,
-    p_matrix_check,
     solve_vi,
-    spectral_facts_selftest,
 )
 
 EX3_G = np.array(

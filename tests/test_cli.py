@@ -23,6 +23,14 @@ README_GAME = {
     "g": [[0.0, -2.0, -0.273107], [1.18042, 0.0, 2.0], [-3.0, 37.229, 0.0]],
     "a": [1.0, 2.0, 3.0],
 }
+PG_GAME = {
+    "n": 3,
+    "g": [[0, 0.2, -0.1], [0.3, 0, 0.1], [-0.2, 0.4, 0]],
+    "a": [0, 0, 0],
+    "theta": [1.0, 0.5, 2.0],
+    "gamma": {"c": [0.5, 1.0, 0.25], "d": [0.25, -0.5, 0.75]},
+}
+SOLVE_GOLDEN = json.loads((GOLDEN / "solve_outputs.json").read_text())
 README_PATTERN = {"n": 4, "g": [[0, 0, 1, 1], [0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]]}
 
 
@@ -103,6 +111,18 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "--game", path, "--constrained")
         assert code == 5
         assert "no convergence" in err
+
+    @pytest.mark.parametrize("case", sorted(SOLVE_GOLDEN))
+    def test_golden_output(self, game_file, capsys, case):
+        # x, kind and interior are pinned exactly; the residuals only to rounding
+        name, *flags = case.split()
+        game = {"readme": README_GAME, "pg": PG_GAME}[name]
+        code, out, _ = run_cli(capsys, "solve", "--game", game_file(game), "--kind", *flags)
+        assert code == 0
+        doc, want = json.loads(out), SOLVE_GOLDEN[case]
+        assert (doc["x"], doc["kind"], doc["interior"]) == (want["x"], want["kind"], want["interior"])
+        for key in ("stationarity_residual", "complementarity_residual"):
+            assert abs(doc[key] - want[key]) <= 1e-10
 
     def test_malformed_exit_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

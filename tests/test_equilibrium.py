@@ -6,16 +6,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from lcp_oracle import box_lcp_solutions
+from matrix_oracles import p_matrix_check
 
 from netgames import (
     AdjacencyMatrix,
     GammaFamily,
     MaxItersExceeded,
     NetworkGame,
+    NoConvergence,
     PublicGoodsGame,
     SingularSystem,
+    StepSelectionFailed,
     cert_strong_monotone,
-    p_matrix_check,
     social_cost,
     solve_ne_interior,
     solve_ne_pg,
@@ -262,6 +264,17 @@ class TestSolveVi:
         with pytest.raises(MaxItersExceeded) as info:
             solve_vi(game, max_iters=1, tol=1e-14, x0=np.array([5.0, 5.0]))
         assert info.value.best_x is not None
+
+    def test_failures_are_one_no_convergence_family(self):
+        assert issubclass(StepSelectionFailed, NoConvergence)
+        assert issubclass(MaxItersExceeded, NoConvergence)
+        # LCP(I+G, -a) without a solution: pivoting revisits a basis
+        with pytest.raises(NoConvergence) as info:
+            solve_vi(lq(np.array([[0.0, -2.0], [-2.0, 0.0]]), np.ones(2)))
+        assert type(info.value) is StepSelectionFailed
+        with pytest.raises(NoConvergence) as info:
+            solve_vi(lq(np.zeros((2, 2)), np.ones(2)), max_iters=1, x0=np.array([5.0, 5.0]))
+        assert type(info.value) is MaxItersExceeded
 
     def test_rejects_bad_args(self):
         game = lq(np.zeros((2, 2)), np.ones(2))

@@ -214,6 +214,20 @@ class TestLipschitzCheck:
         check = lipschitz_check(report, k_cap=1e6)
         assert np.isfinite(check.max_ratio)
 
+    def test_failed_rows_are_infeasible(self):
+        # the non-P repro: 6 of its 7 constrained points have no solution
+        config = SweepConfig(
+            base_game=lq(np.array([[0.0, -1.5], [-1.5, 0.0]]), [1.0, 1.0]),
+            delta_pattern=np.array([[0.0, 1.0], [1.0, 0.0]]),
+            delta_grid=np.linspace(-0.6, 0.6, 7),
+            solver="constrained",
+        )
+        report = sweep(config)
+        assert [r.status for r in report.rows].count("no-convergence") == 6
+        assert all(not r.feasible for r in report.rows if r.status != "ok")
+        with pytest.raises(InsufficientData):
+            lipschitz_check(report, k_cap=1.0)
+
     def test_insufficient_data(self):
         report = sweep(four_node_config(0.0, 0.01, 2))
         # push both rows out of feasibility by sweeping far past breakdown
