@@ -29,6 +29,7 @@ class Certificate:
 
 
 def _cert(name, margin, **details) -> Certificate:
+    details = {key: float(value) for key, value in details.items()}
     return Certificate(name=name, margin=float(margin), holds=bool(margin > 0), details=details)
 
 
@@ -38,12 +39,13 @@ def _g(adjacency) -> np.ndarray:
     return np.asarray(adjacency, dtype=float)
 
 
-def _spectral_norm(m) -> float:
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+# ||M||_2 and ||M||_inf, per member of a stack (..., n, n)
+def _spectral_norm(m):
+    return np.linalg.svd(m, compute_uv=False)[..., 0]
 
 
-def _rowsum_norm(m) -> float:
-    return float(np.max(np.sum(np.abs(m), axis=1)))
+def _rowsum_norm(m):
+    return np.max(np.sum(np.abs(m), axis=-1), axis=-1)
 
 
 def cert_strong_monotone(adjacency) -> Certificate:

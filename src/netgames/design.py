@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleDesign, NoSolutionFound, SingularSystem
-from .games import TOL_NONNEG, ActionProfile, AdjacencyMatrix, NetworkGame, _as_vector
+from .games import TOL_NONNEG, ActionProfile, AdjacencyMatrix, NetworkGame, _as_vector, _system
 from .equilibrium import _norm_inf, solve_ne_interior, solve_ne_pg, solve_social_interior
 
 DESIGN_TOL = 1e-8
@@ -384,14 +384,15 @@ def design_solve(
 
     solutions = []
     for branch_id, u in enumerate(distinct):
-        g = build_g(u[n:])
+        game = NetworkGame(AdjacencyMatrix(build_g(u[n:])), a)
+        m_ne, b_ne = _system(game, "ne")
         x = u[:n]
         solutions.append(
             DesignSolution(
-                adjacency=AdjacencyMatrix(g),
+                adjacency=game.adjacency,
                 x_star=ActionProfile(x),
-                residual_ne=_norm_inf(x + g @ x - a),
-                residual_orth=_norm_inf(g.T @ x),
+                residual_ne=_norm_inf(m_ne @ x - b_ne),
+                residual_orth=_norm_inf(game.adjacency.g.T @ x),
                 branch_id=branch_id,
             )
         )

@@ -14,6 +14,7 @@ public-goods equilibrium is a fixed-point iteration.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,37 +79,54 @@ def _vi_residual(x: np.ndarray, f: np.ndarray, ub) -> tuple[float, float]:
     return _norm_inf(x - np.clip(x - f, 0.0, ub)), _norm_inf(comp)
 
 
-def _inverse(m: np.ndarray) -> tuple[np.ndarray, float]:
+def _inverse(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of ``m`` and its exact 1-norm reciprocal condition.
 
     Raises SingularSystem when ``m`` is exactly singular or the reciprocal
-    condition ``1/(||M||_1 ||M^-1||_1)`` is below RCOND_MIN or not finite.
+    condition ``1/(||M||_1 ||M^-1||_1)`` is below RCOND_MIN or not finite.  A
+    stack (..., n, n) never raises: each member gets both, nan if exactly singular.
     """
     try:
         inv = np.linalg.inv(m)
     except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"system is exactly singular: {exc}") from exc
-    rcond = 1.0 / (np.linalg.norm(m, 1) * np.linalg.norm(inv, 1))
-    if not rcond >= RCOND_MIN:  # a non-finite inverse gives rcond 0 or nan
+        if m.ndim == 2:
+            raise SingularSystem(f"system is exactly singular: {exc}") from exc
+        # LU fails for the whole stack when one member is singular: invert one by one
+        inv = np.full_like(m, np.nan)
+        for k in np.ndindex(m.shape[:-2]):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                inv[k] = np.linalg.inv(m[k])
+    rcond = 1.0 / (np.abs(m).sum(axis=-2).max(axis=-1) * np.abs(inv).sum(axis=-2).max(axis=-1))
+    if m.ndim == 2 and not rcond >= RCOND_MIN:  # a non-finite inverse gives rcond 0 or nan
         raise SingularSystem(f"system is numerically singular (rcond = {rcond:.2e})")
     return inv, rcond
 
 
-def solve_linear(m: np.ndarray, b: np.ndarray, residual_target: float) -> np.ndarray:
+def solve_linear(m: np.ndarray, b: np.ndarray, residual_target: float):
     """Dense solve ``x = M^-1 b`` refined by up to 5 steps ``x += M^-1 r``.
 
     One inverse serves the condition check, the solve and every refinement.
     Raises SingularSystem when ``_inverse`` does or the refined residual
-    cannot meet ``residual_target``.
+    cannot meet ``residual_target``.  A stack ``m`` (..., n, n) returns
+    ``(x, ok)`` instead, each member refined until it meets the target and
+    flagged (x nan, ok False) where it fails the rcond gate or the target.
     """
-    inv, _ = _inverse(m)
+    inv, rcond = _inverse(m)
+    ok = rcond >= RCOND_MIN
+    if m.ndim > 2:
+        inv[~ok] = 0.0  # a failed member's inverse may be inf
+    b = b[..., None]
     x = inv @ b
     for _ in range(6):  # the solve, then up to 5 refinement steps
         r = b - m @ x
-        if _norm_inf(r) <= residual_target:
-            return x
-        x = x + inv @ r
-    raise SingularSystem("iterative refinement could not meet the residual target")
+        live = ok & ~(np.abs(r).max(axis=(-2, -1)) <= residual_target)
+        if not live.any():
+            break
+        x = np.where(live[..., None, None], x + inv @ r, x)
+    ok = ok & ~live
+    if m.ndim == 2 and not ok:
+        raise SingularSystem("iterative refinement could not meet the residual target")
+    return (np.where(ok[..., None], x[..., 0], np.nan), ok) if m.ndim > 2 else x[..., 0]
 
 
 def _result(x, kind, stationarity, complementarity=0.0) -> EquilibriumResult:
@@ -170,6 +188,8 @@ def solve_vi(
     when a basis recurs or a free block is singular (neither happens on the
     orthant for a P-matrix) and MaxItersExceeded after ``max_iters`` solves.
     """
+    if not isinstance(game, NetworkGame):
+        raise ValueError(f"solve_vi expects a NetworkGame, got {type(game).__name__}")
     if tol <= 0:
         raise ValueError("tol must be positive")
     m, a = _system(game, which)

@@ -258,9 +258,13 @@ def cost_lq(game: NetworkGame, i: int, x) -> float:
 
 def social_cost(game: NetworkGame, x) -> float:
     """Sum of all players' costs: 0.5*x.x - a.x + x.(G@x)."""
-    xv = profile_vector(x, game.n)
-    z = game.adjacency.g @ xv
-    return float(0.5 * xv @ xv + (z - game.a) @ xv)
+    return float(_social_cost(game.adjacency.g, game.a, profile_vector(x, game.n)))
+
+
+def _social_cost(g: np.ndarray, a: np.ndarray, x: np.ndarray):
+    """``0.5*x.x + (G@x - a).x``, per member of a stack of G (..., n, n) and x (..., n)."""
+    z = (g @ x[..., None])[..., 0]
+    return (0.5 * x[..., None, :] @ x[..., None] + (z - a)[..., None, :] @ x[..., None])[..., 0, 0]
 
 
 def cost_pg(game: PublicGoodsGame, i: int, x) -> float:

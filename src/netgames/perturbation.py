@@ -2,25 +2,28 @@
 
 A sweep solves the game along ``G(delta) = G + delta * pattern`` and records
 cost, feasibility, and continuity margins per grid point, plus empirical
-Lipschitz ratios between adjacent points.  A grid point where the solver
-fails (a singular system, or no convergence) is marked by its row's status,
-never fatal.
+Lipschitz ratios between adjacent points.  A block of grid points takes one
+batched SVD for its margins and, if interior, one stacked ``solve_linear``.
+A grid point where the solver fails (a singular system, or no convergence)
+is marked by its row's status, never fatal.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certificates import cert_continuity
-from .errors import InsufficientData, NoConvergence, SingularSystem
-from .games import TOL_NONNEG, AdjacencyMatrix, NetworkGame, social_cost
-from .equilibrium import solve_ne_interior, solve_vi
+from .certificates import _rowsum_norm, _spectral_norm
+from .errors import InsufficientData, NoConvergence
+from .games import TOL_NONNEG, AdjacencyMatrix, NetworkGame, _social_cost
+from .equilibrium import DEFAULT_TOL, _norm_inf, solve_linear, solve_vi
 
 CSV_HEADER = ("delta", "social_cost", "feasible", "min_x", "spectral_margin", "status")
+_BLOCK_ENTRIES = 2**20  # of a block's (K, n, n) stack: ceil(2^20 / n^2) points, O(n^2) at large n
 
 
 def default_grid() -> np.ndarray:
@@ -96,71 +99,60 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den > 0.0 else math.inf
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``v``, from one dot product as ``np.linalg.norm``."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
 def sweep(config: SweepConfig) -> SweepReport:
     """Solve the perturbed game at every grid point and assemble the report.
 
-    Interior rows are infeasible when the un-clamped solution has a negative
-    component; constrained rows are feasible when they solve.  A grid point
-    whose solve raises SingularSystem gets status "singular", one whose solve
-    raises NoConvergence gets "no-convergence"; that row has no solution, is
-    infeasible, and the sweep continues.
+    Interior rows meet the residual target and rcond gate of
+    ``solve_ne_interior`` and are infeasible when the un-clamped solution has
+    a negative component.  Constrained rows are feasible when they solve; each
+    pivots from the basis of the previous "ok" row, else from the origin, so
+    where the LCP has several solutions (I+G not a P-matrix) the row reports
+    the one continued from the previous row.  A failed row ("singular" or
+    "no-convergence") has no solution, is infeasible, and the sweep goes on.
     """
-    base = config.base_game
-    g0 = base.adjacency.g
-    pattern_norm = float(np.linalg.svd(config.delta_pattern, compute_uv=False)[0])
-    rows = []
-    for delta in config.delta_grid:
-        g = g0 + delta * config.delta_pattern
-        spectral, rowsum = (cert.margin for cert in cert_continuity(g))
-        game = NetworkGame(AdjacencyMatrix(g), base.a, base.upper_bound)
-        status = "ok"
-        try:
-            if config.solver == "interior":
-                x = solve_ne_interior(game).x.x
-                feasible = bool(np.min(x) >= -TOL_NONNEG)
-            else:
-                x = solve_vi(game, which="ne").x.x
-                feasible = True
-        except SingularSystem:
-            x, feasible, status = None, False, "singular"
-        except NoConvergence:
-            x, feasible, status = None, False, "no-convergence"
-        rows.append(
-            SweepRow(
-                delta=float(delta),
-                x_star=x,
-                social_cost=math.nan if x is None else social_cost(game, x),
-                feasible=feasible,
-                min_x=math.nan if x is None else float(np.min(x)),
-                spectral_margin=spectral,
-                rowsum_margin=rowsum,
-                status=status,
-            )
-        )
-
-    lip_x = 0.0
-    lip_cost = 0.0
-    for prev, cur in zip(rows, rows[1:]):
-        if prev.x_star is None or cur.x_star is None:
-            continue
-        dg = (cur.delta - prev.delta) * pattern_norm
-        lip_x = max(lip_x, _ratio(float(np.linalg.norm(cur.x_star - prev.x_star)), dg))
-        lip_cost = max(lip_cost, _ratio(abs(cur.social_cost - prev.social_cost), dg))
-    # action-set radius: exact for a bounded box, else the largest computed solution
-    if base.upper_bound is not None:
-        delta_cap = float(np.linalg.norm(base.upper_bound))
-    else:
-        delta_cap = 0.0
-        for row in rows:
-            if row.x_star is not None:
-                delta_cap = max(delta_cap, float(np.linalg.norm(row.x_star)))
-    return SweepReport(
-        rows=tuple(rows),
-        lipschitz_x=lip_x,
-        lipschitz_cost=lip_cost,
-        delta_cap=delta_cap,
-        pattern_norm=pattern_norm,
+    base, pattern, grid = config.base_game, config.delta_pattern, config.delta_grid
+    g0, a, n = base.adjacency.g, base.a, base.n
+    block = -(-_BLOCK_ENTRIES // n**2)
+    starts, parts = [None], []
+    for lo in range(0, grid.size, block):
+        gs = g0 + grid[lo : lo + block, None, None] * pattern
+        if config.solver == "interior":  # M = I + G(delta) as games._system builds it
+            xs, ok = solve_linear(np.eye(n) + gs, a, DEFAULT_TOL * (1.0 + _norm_inf(a)))
+        else:
+            xs, ok = np.full((len(gs), n), np.nan), np.zeros(len(gs), dtype=bool)
+            for k, g in enumerate(gs):
+                game = NetworkGame(AdjacencyMatrix(g), a, base.upper_bound)
+                for x0 in starts:
+                    with contextlib.suppress(NoConvergence):
+                        xs[k] = solve_vi(game, x0=x0).x.x
+                        ok[k], starts = True, [xs[k], None]
+                        break
+        cost = np.where(ok, _social_cost(gs, a, xs), np.nan)
+        parts.append((xs, ok, cost, 1.0 - _spectral_norm(gs), 1.0 - _rowsum_norm(gs)))
+    xs, ok, cost, spectral, rowsum = (np.concatenate(part) for part in zip(*parts))
+    xs.setflags(write=False)
+    min_x = np.min(xs, axis=1)  # nan on a failed row, >= 0 on a solved constrained one
+    status = np.where(ok, "ok", "singular" if config.solver == "interior" else "no-convergence")
+    columns = (cost, min_x >= -TOL_NONNEG, min_x, spectral, rowsum, status)
+    rows = tuple(
+        SweepRow(delta, x if solved else None, *values)
+        for delta, x, solved, *values in zip(grid.tolist(), xs, ok, *(c.tolist() for c in columns))
     )
+
+    pattern_norm = float(_spectral_norm(pattern))
+    pairs = ok[1:] & ok[:-1]
+    dg = (np.diff(grid) * pattern_norm)[pairs].tolist()
+    lip_x = max(map(_ratio, _norms(np.diff(xs, axis=0)[pairs]).tolist(), dg), default=0.0)
+    lip_cost = max(map(_ratio, np.abs(np.diff(cost))[pairs].tolist(), dg), default=0.0)
+    # action-set radius: exact for a bounded box, else the largest computed solution
+    ub = base.upper_bound
+    delta_cap = np.linalg.norm(ub) if ub is not None else np.max(_norms(xs[ok]), initial=0.0)
+    return SweepReport(rows, lip_x, lip_cost, float(delta_cap), pattern_norm)
 
 
 @dataclass(frozen=True)

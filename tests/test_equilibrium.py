@@ -1,5 +1,7 @@
 """Interior, constrained, and public-goods solvers."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -201,8 +203,68 @@ class TestSolveLinear:
             assert rcond == pytest.approx(1.0 / np.linalg.cond(m, 1), rel=1e-12)
             np.testing.assert_allclose(inv @ m, np.eye(n), rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("n", [1, 4, 30])
+    def test_stack_equals_per_matrix_calls_bit_for_bit(self, n):
+        rng = np.random.default_rng(50 + n)
+        ms = np.eye(n) + rng.normal(size=(7, n, n)) * (0.6 / np.sqrt(n))
+        # an ill-conditioned member (kappa_2 = 1e8) needs refinement steps the others do not
+        u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        ms[3] = (u * np.logspace(0, -8, n)) @ u.T
+        b = rng.uniform(-1.0, 2.0, (7, n))
+        b[3] = ms[3] @ rng.uniform(-1.0, 1.0, n)
+        target = 1e-10 * (1.0 + np.max(np.abs(b)))
+        inv, rcond = _inverse(ms)
+        for stack, rhs in ((ms, b), (ms, b[3]), (ms[:3], b[0])):  # per member, then broadcast
+            x, ok = solve_linear(stack, rhs, target)
+            assert ok.shape == (len(stack),) and ok.all()
+            for k, m in enumerate(stack):
+                want = solve_linear(m, rhs if rhs.ndim == 1 else rhs[k], target)
+                assert x[k].tobytes() == want.tobytes()
+        for k in range(7):
+            inv_k, rcond_k = _inverse(ms[k])
+            assert inv[k].tobytes() == inv_k.tobytes() and rcond[k] == rcond_k
+
+    def test_stack_flags_only_the_failing_members(self):
+        rng = np.random.default_rng(3)
+        exactly_singular = np.eye(2) + np.array([[0.0, -1.0], [-1.0, 0.0]])
+        near_singular = np.eye(2) + np.array([[0.0, -1.0], [4e-14 - 1.0, 0.0]])
+        ms = np.eye(2) + rng.normal(size=(6, 2, 2)) * 0.3
+        ms[1], ms[4] = exactly_singular, near_singular
+        b = np.ones(2)
+        with pytest.raises(SingularSystem, match="exactly singular"):
+            solve_linear(ms[1], b, 1e-10)
+        with pytest.raises(SingularSystem, match="numerically singular"):
+            solve_linear(ms[4], b, 1e-10)
+        x, ok = solve_linear(ms, b, 1e-10)
+        assert ok.tolist() == [True, False, True, True, False, True]
+        assert np.isnan(x[~ok]).all()
+        for k in np.flatnonzero(ok):
+            assert x[k].tobytes() == solve_linear(ms[k], b, 1e-10).tobytes()
+        _, rcond = _inverse(ms)
+        assert np.isnan(rcond[1]) and 0.0 < rcond[4] < RCOND_MIN
+        # a target no member can meet flags every member
+        with pytest.raises(SingularSystem, match="iterative refinement"):
+            solve_linear(ms[0], b, -1.0)
+        x, ok = solve_linear(ms, b, -1.0)
+        assert not ok.any() and np.isnan(x).all()
+
+    def test_stack_member_with_an_overflowing_inverse_warns_nothing(self):
+        # the second row is subnormal: LU succeeds, the inverse holds inf
+        ms = np.stack([np.eye(2), np.array([[1.0, 2.0], [3e-310, 4e-310]])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, ok = solve_linear(ms, np.ones(2), 1e-10)
+        assert ok.tolist() == [True, False]
+        np.testing.assert_array_equal(x[0], [1.0, 1.0])
+
 
 class TestSolveVi:
+    def test_public_goods_game_is_a_typed_error(self):
+        pg = PublicGoodsGame(AdjacencyMatrix(np.zeros((2, 2))), np.zeros(2),
+                             GammaFamily.affine(np.ones(2), np.zeros(2)))
+        with pytest.raises(ValueError, match="NetworkGame"):
+            solve_vi(pg)
+
     def test_projection_inactive(self):
         game = lq(np.zeros((3, 3)), np.array([1.0, 0.5, 2.0]))
         eq = solve_vi(game, x0=np.array([5.0, 5.0, 5.0]))

@@ -1,22 +1,32 @@
 """Robustness sweeps and empirical Lipschitz checks."""
 
 import io
+import math
 
 import numpy as np
 import pytest
 from lcp_oracle import box_lcp_solutions
+from matrix_oracles import p_matrix_check
 
 from netgames import (
     AdjacencyMatrix,
     InsufficientData,
     NetworkGame,
+    NoConvergence,
+    SingularSystem,
     SweepConfig,
+    cert_continuity,
     four_player_symmetric_example,
     lipschitz_check,
+    social_cost,
     solve_ne_interior,
+    solve_vi,
     sweep,
 )
-from netgames.perturbation import write_csv
+from netgames import perturbation
+from netgames.equilibrium import RCOND_MIN
+from netgames.games import TOL_NONNEG
+from netgames.perturbation import _BLOCK_ENTRIES, SweepRow, write_csv
 
 # Perturbation direction used in the 4-player robustness example:
 # delta at positions (1,3), (1,4), (3,1), (4,1).
@@ -35,6 +45,81 @@ def four_node_config(lo=-0.6, hi=0.6, steps=121, solver="interior"):
         delta_grid=np.linspace(lo, hi, steps),
         solver=solver,
     )
+
+
+def reference_sweep_rows(config):
+    """Rows of ``sweep(config)`` solved one grid point at a time.
+
+    One game, one ``cert_continuity`` and one solve per point, every
+    constrained point pivoted from the origin: the loop ``sweep`` ran before
+    it solved blocks of points at once.
+    """
+    base = config.base_game
+    rows = []
+    for delta in config.delta_grid:
+        g = base.adjacency.g + delta * config.delta_pattern
+        spectral, rowsum = (cert.margin for cert in cert_continuity(g))
+        game = NetworkGame(AdjacencyMatrix(g), base.a, base.upper_bound)
+        status = "ok"
+        try:
+            if config.solver == "interior":
+                x = solve_ne_interior(game).x.x
+                feasible = bool(np.min(x) >= -TOL_NONNEG)
+            else:
+                x = solve_vi(game, which="ne").x.x
+                feasible = True
+        except SingularSystem:
+            x, feasible, status = None, False, "singular"
+        except NoConvergence:
+            x, feasible, status = None, False, "no-convergence"
+        rows.append(
+            SweepRow(
+                delta=float(delta),
+                x_star=x,
+                social_cost=math.nan if x is None else social_cost(game, x),
+                feasible=feasible,
+                min_x=math.nan if x is None else float(np.min(x)),
+                spectral_margin=spectral,
+                rowsum_margin=rowsum,
+                status=status,
+            )
+        )
+    return rows
+
+
+def assert_same_rows(config):
+    """``sweep(config)`` equals the per-point reference field by field, x bit for bit."""
+    got = sweep(config).rows
+    assert_rows_equal(got, reference_sweep_rows(config))
+    return got
+
+
+def assert_rows_equal(got, want):
+    assert len(got) == len(want)
+    numbers = ("delta", "social_cost", "min_x", "spectral_margin", "rowsum_margin")
+    for row, ref in zip(got, want):
+        assert (row.status, row.feasible) == (ref.status, ref.feasible)
+        if ref.x_star is None:
+            assert row.x_star is None
+        else:
+            assert row.x_star.tobytes() == ref.x_star.tobytes()
+        # nan equals nan here, every other value must match exactly
+        np.testing.assert_array_equal(
+            [getattr(row, f) for f in numbers], [getattr(ref, f) for f in numbers]
+        )
+
+
+def non_p_configs(rng, count):
+    """Seeded constrained sweeps where I+G is often not a P-matrix; every third is boxed."""
+    for trial in range(count):
+        n = int(rng.integers(2, 6))
+        g = rng.uniform(-1.5, 1.0, (n, n))
+        pattern = rng.normal(size=(n, n))
+        np.fill_diagonal(g, 0.0)
+        np.fill_diagonal(pattern, 0.0)
+        ub = rng.uniform(0.5, 3.0, n) if trial % 3 == 0 else None
+        game = NetworkGame(AdjacencyMatrix(g), rng.uniform(-0.5, 2.0, n), ub)
+        yield SweepConfig(game, pattern, np.linspace(-0.5, 0.5, 21), "constrained")
 
 
 class TestSweep:
@@ -188,6 +273,102 @@ class TestSweep:
                 delta_grid=np.array([0.0, 1.0]),
                 solver="simplex",
             )
+
+
+class TestBlockedSweepMatchesReference:
+    @pytest.mark.parametrize("steps", [121, 1201])
+    def test_readme_grids(self, steps):
+        rows = assert_same_rows(four_node_config(steps=steps))
+        assert {r.status for r in rows} == {"ok"} and not all(r.feasible for r in rows)
+
+    def test_readme_constrained_grid(self):
+        # I+G is a P-matrix on the whole grid, so continuation changes no bit
+        assert_same_rows(four_node_config(solver="constrained"))
+        assert_same_rows(four_node_config(-0.3, 0.55, 18, solver="constrained"))
+
+    def test_exactly_singular_grid_point(self):
+        config = SweepConfig(
+            lq(np.zeros((2, 2)), [1.0, 1.0]),
+            np.array([[0.0, 1.0], [1.0, 0.0]]),
+            np.array([-1.0, 0.0, 0.5]),
+        )
+        rows = assert_same_rows(config)
+        assert [r.status for r in rows] == ["singular", "ok", "ok"]
+
+    def test_rcond_below_the_gate(self):
+        # det(I+G) = 4e-14 at the middle point: LU succeeds, the rcond gate fails
+        config = SweepConfig(
+            lq(np.array([[0.0, -1.0], [-1.0, 0.0]]), [1.0, 1.0]),
+            np.array([[0.0, 0.0], [1.0, 0.0]]),
+            np.array([-0.5, 4e-14, 0.5]),
+        )
+        m = np.eye(2) + config.base_game.adjacency.g + 4e-14 * config.delta_pattern
+        assert 0.0 < 1.0 / np.linalg.cond(m, 1) < RCOND_MIN
+        rows = assert_same_rows(config)
+        assert [r.status for r in rows] == ["ok", "singular", "ok"]
+
+    def test_box_game(self):
+        game = NetworkGame(
+            AdjacencyMatrix(np.array([[0.0, 0.3, -0.2], [0.1, 0.0, 0.4], [-0.3, 0.2, 0.0]])),
+            np.array([1.0, -0.5, 2.0]),
+            upper_bound=np.array([3.0, 4.0, 1.0]),
+        )
+        config = SweepConfig(game, np.ones((3, 3)) - np.eye(3), np.linspace(-0.5, 0.5, 31))
+        assert_same_rows(config)
+        assert sweep(config).delta_cap == pytest.approx(np.sqrt(26.0), abs=1e-12)
+
+    def test_seeded_games(self):
+        rng = np.random.default_rng(2024)
+        infeasible = 0
+        for _ in range(50):
+            n = int(rng.integers(1, 11))
+            g = rng.normal(size=(n, n)) * rng.uniform(0.1, 1.2) / np.sqrt(n)
+            pattern = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.5)
+            np.fill_diagonal(g, 0.0)
+            np.fill_diagonal(pattern, 0.0)
+            config = SweepConfig(lq(g, rng.uniform(-0.5, 2.0, n)), pattern, np.linspace(-1, 1, 41))
+            infeasible += sum(not r.feasible for r in assert_same_rows(config))
+        assert infeasible > 0
+
+    def test_grid_spanning_several_blocks(self):
+        rng = np.random.default_rng(120)
+        n = 120
+        g = rng.normal(size=(n, n)) * (0.3 / np.sqrt(n))
+        pattern = rng.normal(size=(n, n)) / np.sqrt(n)
+        np.fill_diagonal(g, 0.0)
+        np.fill_diagonal(pattern, 0.0)
+        grid = np.linspace(-0.5, 0.5, 150)
+        assert grid.size > 2 * -(-_BLOCK_ENTRIES // n**2)  # three blocks
+        assert_same_rows(SweepConfig(lq(g, rng.uniform(0.2, 2.0, n)), pattern, grid))
+
+    def test_constrained_non_p_rows_solve_the_lcp(self):
+        # I+G is not a P-matrix on many rows: an LCP there may have no solution or
+        # several, and a row continued from its neighbour may find one the origin misses
+        non_p = gained = 0
+        for config in non_p_configs(np.random.default_rng(77), 40):
+            game, pattern, ub = config.base_game, config.delta_pattern, config.base_game.upper_bound
+            want = reference_sweep_rows(config)
+            for row, ref in zip(sweep(config).rows, want):
+                m = np.eye(game.n) + game.adjacency.g + row.delta * pattern
+                non_p += not p_matrix_check(m)
+                assert ref.status != "ok" or row.status == "ok"
+                if row.status != "ok":
+                    assert row.x_star is None and not row.feasible
+                    continue
+                gained += ref.status != "ok"
+                assert row.feasible and row.min_x >= 0.0
+                solutions = box_lcp_solutions(m, game.a, ub)
+                assert np.min(np.max(np.abs(solutions - row.x_star), axis=1)) <= 1e-8
+        assert non_p > 200 and gained > 0
+
+    def test_rows_do_not_depend_on_the_block_length(self, monkeypatch):
+        # continuation runs across block boundaries: three points per block change nothing
+        configs = list(non_p_configs(np.random.default_rng(78), 10))
+        configs.append(four_node_config(steps=31))
+        whole = [sweep(config).rows for config in configs]
+        for config, rows in zip(configs, whole):
+            monkeypatch.setattr(perturbation, "_BLOCK_ENTRIES", 3 * config.base_game.n**2)
+            assert_rows_equal(sweep(config).rows, rows)
 
 
 class TestLipschitzCheck:
