@@ -149,12 +149,16 @@ def _cmd_perturb(args) -> int:
         raise GameFileError("perturb expects a linear-quadratic game file")
     if args.steps < 1:
         raise GameFileError("--steps must be at least 1")
-    config = SweepConfig(
-        base_game=game,
-        delta_pattern=load_pattern(args.pattern),
-        delta_grid=np.linspace(args.from_, args.to, args.steps),
-        solver="constrained" if args.constrained else "interior",
-    )
+    pattern = load_pattern(args.pattern)
+    try:
+        config = SweepConfig(
+            base_game=game,
+            delta_pattern=pattern,
+            delta_grid=np.linspace(args.from_, args.to, args.steps),
+            solver="constrained" if args.constrained else "interior",
+        )
+    except ValueError as exc:
+        raise GameFileError(str(exc)) from exc
     report = sweep(config)
     buf = io.StringIO()
     write_sweep_csv(report, buf)
@@ -275,12 +279,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GameFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except SingularSystem as exc:
         print(f"error: singular system: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
@@ -290,7 +288,7 @@ def main(argv=None) -> int:
     except NoConvergence as exc:
         print(f"error: no convergence: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except NetgamesError as exc:
+    except (OSError, UnicodeError, NetgamesError) as exc:  # GameFileError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

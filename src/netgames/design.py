@@ -167,10 +167,12 @@ def potential_check(adjacency: AdjacencyMatrix, tol: float = 1e-12) -> bool:
 def symmetric_design(a, seed: int = 0, max_abs: float = 0.3) -> DesignSolution:
     """Random symmetric G with zero diagonal and Ga = 0, so x* = a exactly.
 
-    The upper-triangle entries are sampled from the null space of the row-sum
-    constraint map and rescaled to ``max_abs`` sup norm.  Needs n >= 3 in
-    general: for smaller n (or n=3 with generic a) the null space is trivial
-    and InfeasibleDesign is raised.
+    A Gaussian symmetric zero-diagonal W (upper triangle row-major from
+    ``seed``) is projected onto the kernel of ``C: W -> Wa`` in closed form,
+    through the n x n matrix C C^T, and rescaled to ``max_abs`` sup norm.
+    Singular values of C up to 1e-12 max(s_max, 1) count as zero, so
+    InfeasibleDesign (a trivial kernel) comes for n=2 with a != 0 or n=3 with
+    every a_i != 0, unless a is that close to a vector with a zero.
     """
     a = np.array(a, dtype=float)
     if a.ndim != 1 or a.size < 2:
@@ -178,29 +180,30 @@ def symmetric_design(a, seed: int = 0, max_abs: float = 0.3) -> DesignSolution:
     if np.min(a) < 0:
         raise InfeasibleDesign("x* = a must be nonnegative")
     n = a.size
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    m = len(pairs)
-    cons = np.zeros((n, m))
-    for k, (i, j) in enumerate(pairs):
-        cons[i, k] += a[j]
-        cons[j, k] += a[i]
-    _, sv, vt = np.linalg.svd(cons)
-    scale = max(float(sv[0]), 1.0) if sv.size else 1.0
-    rank = int(np.sum(sv > 1e-12 * scale))
-    kernel = vt[rank:]
-    if kernel.shape[0] == 0:
+    iu = np.triu_indices(n, 1)
+    g = np.zeros((n, n))
+    g[iu] = np.random.default_rng(seed).standard_normal(iu[0].size)
+    g += g.T
+    scale = _norm_inf(a) or 1.0
+    b = a / scale  # the kernel is scale-free
+    # C C^T = diag(|b|^2 - 2b^2) + b b^T: every eigenvalue but the least is >= max(b)^2 = 1
+    # (Courant-Fischer), so only the least loses digits; recompute it as |C^T q|^2, q its vector
+    lam, q = np.linalg.eigh(np.diag(b @ b - 2.0 * b**2) + np.outer(b, b))
+    lam[0] = np.sum(np.triu(np.outer(q[:, 0], b) + np.outer(b, q[:, 0]), 1) ** 2)
+    sv = np.sqrt(lam) * scale  # the singular values of C
+    inv = np.divide(1.0, lam, out=np.zeros(n), where=sv > 1e-12 * max(sv[-1], 1.0))
+    if np.count_nonzero(inv) == iu[0].size:
         raise InfeasibleDesign(
             f"no nonzero symmetric design exists for n={n} with this a"
         )
-    rng = np.random.default_rng(seed)
-    w = kernel.T @ rng.standard_normal(kernel.shape[0])
-    top = _norm_inf(w)
+    for _ in range(4):  # the projection, then three refinement passes
+        y = q @ (inv * (q.T @ (g @ b)))
+        g -= np.outer(y, b) + np.outer(b, y)
+        np.fill_diagonal(g, 0.0)
+    top = _norm_inf(g)
     if top == 0.0:
         raise InfeasibleDesign("degenerate null-space sample")
-    w *= max_abs / top
-    g = np.zeros((n, n))
-    for k, (i, j) in enumerate(pairs):
-        g[i, j] = g[j, i] = w[k]
+    g *= max_abs / top
     residual = _norm_inf(g @ a)
     return DesignSolution(
         adjacency=AdjacencyMatrix(g),
@@ -344,26 +347,24 @@ def design_solve(
             idx = idx[moved]
             u[idx], r[idx], norm[idx] = cand[moved], r_new[moved], n_new[moved]
 
-    def run_sweep(box):
+    rejected = converged = iterations = 0
+    best = np.inf
+    for box in (5.0, 50.0):  # the wide box runs only after a total failure
         rng = np.random.default_rng(seed)
         lo = np.concatenate([np.zeros(n), np.full(m, -box)])
         hi = np.concatenate([np.full(n, x_hi), np.full(m, box)])
         # row-major draws: per start, n actions then m free entries, as one stream
-        u, r, iterations = polish(rng.uniform(lo, hi, (starts, n + m)))
+        u, r, its = polish(rng.uniform(lo, hi, (starts, n + m)))
         res = np.max(np.abs(r), axis=1)
-        best = float(np.min(res, initial=np.inf))
-        converged = res <= tol
-        negative = converged & (np.min(u[:, :n], axis=1) < -tol)
-        accepted = list(u[converged & ~negative])
-        return accepted, int(np.sum(negative)), int(np.sum(converged)), best, iterations
-
-    accepted, rejected, converged, best, iterations = run_sweep(5.0)
-    if not accepted:
-        accepted, rejected2, converged2, best2, iterations2 = run_sweep(50.0)
-        rejected += rejected2
-        converged += converged2
-        best = min(best, best2)
-        iterations += iterations2
+        best = min(best, float(np.min(res, initial=np.inf)))
+        ok = res <= tol
+        negative = ok & (np.min(u[:, :n], axis=1) < -tol)
+        accepted = list(u[ok & ~negative])
+        rejected += int(np.sum(negative))
+        converged += int(np.sum(ok))
+        iterations += its
+        if accepted:
+            break
     if not accepted:
         raise NoSolutionFound(
             f"no admissible design found in {2 * starts} starts "

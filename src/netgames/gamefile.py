@@ -48,35 +48,25 @@ def _int_field(doc: dict, field: str, source: str) -> int:
     return value
 
 
-def _vector_field(doc: dict, field: str, n: int, source: str) -> np.ndarray:
+def _array_field(doc: dict, field: str, shape: tuple, source: str) -> np.ndarray:
     value = _require(doc, field, source)
     try:
-        vec = np.array(value, dtype=float)
+        arr = np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise GameFileError(f"{source}: field '{field}' must be numeric", field=field) from exc
-    if vec.shape != (n,):
+    if arr.shape != shape:
+        want = f"an {shape[0]}x{shape[1]}" if len(shape) == 2 else f"a length-{shape[0]}"
         raise GameFileError(
-            f"{source}: field '{field}' must be a length-{n} array, got shape {vec.shape}",
+            f"{source}: field '{field}' must be {want} array, got shape {arr.shape}",
             field=field,
         )
-    if not np.all(np.isfinite(vec)):
+    if not np.all(np.isfinite(arr)):
         raise GameFileError(f"{source}: field '{field}' has non-finite entries", field=field)
-    return vec
+    return arr
 
 
 def _matrix_field(doc: dict, field: str, n: int, source: str) -> np.ndarray:
-    value = _require(doc, field, source)
-    try:
-        mat = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise GameFileError(f"{source}: field '{field}' must be numeric", field=field) from exc
-    if mat.shape != (n, n):
-        raise GameFileError(
-            f"{source}: field '{field}' must be an {n}x{n} array, got shape {mat.shape}",
-            field=field,
-        )
-    if not np.all(np.isfinite(mat)):
-        raise GameFileError(f"{source}: field '{field}' has non-finite entries", field=field)
+    mat = _array_field(doc, field, (n, n), source)
     if np.any(np.diagonal(mat) != 0.0):
         bad = int(np.flatnonzero(np.diagonal(mat) != 0.0)[0]) + 1
         raise GameFileError(
@@ -90,20 +80,20 @@ def parse_game(text: str, source: str = "game"):
     doc = _parse_json(text, source)
     n = _int_field(doc, "n", source)
     g = _matrix_field(doc, "g", n, source)
-    a = _vector_field(doc, "a", n, source)
+    a = _array_field(doc, "a", (n,), source)
     adjacency = AdjacencyMatrix(g)
     if "gamma" in doc:
         gamma_doc = doc["gamma"]
         if not isinstance(gamma_doc, dict):
             raise GameFileError(f"{source}: field 'gamma' must be an object", field="gamma")
-        c = _vector_field(gamma_doc, "c", n, f"{source}.gamma")
-        d = _vector_field(gamma_doc, "d", n, f"{source}.gamma")
+        c = _array_field(gamma_doc, "c", (n,), f"{source}.gamma")
+        d = _array_field(gamma_doc, "d", (n,), f"{source}.gamma")
         theta = (
-            _vector_field(doc, "theta", n, source) if "theta" in doc else np.zeros(n)
+            _array_field(doc, "theta", (n,), source) if "theta" in doc else np.zeros(n)
         )
         return PublicGoodsGame(adjacency=adjacency, theta=theta, gamma=GammaFamily.affine(c, d))
     if "theta" in doc:
-        _vector_field(doc, "theta", n, source)  # shape-checked even when unused
+        _array_field(doc, "theta", (n,), source)  # shape-checked even when unused
     return NetworkGame(adjacency=adjacency, a=a)
 
 
@@ -148,7 +138,7 @@ def parse_problem(text: str, source: str = "problem") -> DesignProblem:
     """Parse a design-problem document."""
     doc = _parse_json(text, source)
     n = _int_field(doc, "n", source)
-    a = _vector_field(doc, "a", n, source)
+    a = _array_field(doc, "a", (n,), source)
     fixed_doc = doc.get("fixed", [])
     free_doc = doc.get("free", [])
     fixed = []

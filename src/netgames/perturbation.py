@@ -99,6 +99,11 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den > 0.0 else math.inf
 
 
+def _max_ratio(num: np.ndarray, den: np.ndarray, pairs: np.ndarray) -> float:
+    """Largest ``_ratio`` over the adjacent pairs selected by ``pairs``; 0.0 if none is."""
+    return max(map(_ratio, num[pairs].tolist(), den[pairs].tolist()), default=0.0)
+
+
 def _norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of ``v``, from one dot product as ``np.linalg.norm``."""
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
@@ -146,9 +151,9 @@ def sweep(config: SweepConfig) -> SweepReport:
 
     pattern_norm = float(_spectral_norm(pattern))
     pairs = ok[1:] & ok[:-1]
-    dg = (np.diff(grid) * pattern_norm)[pairs].tolist()
-    lip_x = max(map(_ratio, _norms(np.diff(xs, axis=0)[pairs]).tolist(), dg), default=0.0)
-    lip_cost = max(map(_ratio, np.abs(np.diff(cost))[pairs].tolist(), dg), default=0.0)
+    dg = np.diff(grid) * pattern_norm
+    lip_x = _max_ratio(_norms(np.diff(xs, axis=0)), dg, pairs)
+    lip_cost = _max_ratio(np.abs(np.diff(cost)), dg, pairs)
     # action-set radius: exact for a bounded box, else the largest computed solution
     ub = base.upper_bound
     delta_cap = np.linalg.norm(ub) if ub is not None else np.max(_norms(xs[ok]), initial=0.0)
@@ -169,20 +174,14 @@ def lipschitz_check(report: SweepReport, k_cap: float) -> LipschitzCheck:
     existential, so k_cap is caller-configured.  Raises InsufficientData
     with fewer than two feasible rows.
     """
-    feasible = [r for r in report.rows if r.feasible]
-    if len(feasible) < 2:
+    feasible = np.array([r.feasible for r in report.rows])
+    if np.sum(feasible) < 2:
         raise InsufficientData("need at least two feasible rows")
-    max_ratio = 0.0
-    pairs = 0
-    for prev, cur in zip(report.rows, report.rows[1:]):
-        if not (prev.feasible and cur.feasible):
-            continue
-        pairs += 1
-        num = abs(cur.social_cost - prev.social_cost)
-        den = (cur.delta - prev.delta) * report.pattern_norm
-        max_ratio = max(max_ratio, _ratio(num, den))
-    if pairs == 0:
+    pairs = feasible[1:] & feasible[:-1]
+    if not pairs.any():
         raise InsufficientData("no adjacent feasible pair in the report")
+    delta, cost = np.array([(r.delta, r.social_cost) for r in report.rows]).T
+    max_ratio = _max_ratio(np.abs(np.diff(cost)), np.diff(delta) * report.pattern_norm, pairs)
     return LipschitzCheck(bounded=max_ratio <= k_cap * report.delta_cap, max_ratio=max_ratio)
 
 

@@ -135,6 +135,17 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "--game", "/nonexistent/game.json")
         assert code == 1
 
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_game_exit_1(self, tmp_path, capsys, kind):
+        path = tmp_path / "game.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"n": 1, "g": [[0]], "a": [\xff]}')
+        code, out, err = run_cli(capsys, "solve", "--game", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_out_path(self, game_file, tmp_path, capsys):
         path = game_file({"n": 1, "g": [[0]], "a": [3.0]})
         out_path = tmp_path / "result.json"
@@ -310,6 +321,24 @@ class TestPerturb:
             "--from", "0", "--to", "1", "--steps", "2",
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "pattern_n, grid",
+        [
+            (3, ("-0.6", "0.6", "5")),  # the pattern's n differs from the game's
+            (4, ("0.6", "-0.6", "5")),  # --from > --to
+            (4, ("0.2", "0.2", "2")),  # --from = --to with two steps
+        ],
+    )
+    def test_invalid_sweep_exit_1(self, game_file, tmp_path, capsys, pattern_n, grid):
+        ppath = tmp_path / "pattern.json"
+        ppath.write_text(json.dumps({"n": pattern_n, "g": np.zeros((pattern_n,) * 2).tolist()}))
+        code, out, err = run_cli(
+            capsys, "perturb", "--game", game_file(FOUR_PLAYER_GAME), "--pattern", str(ppath),
+            "--from", grid[0], "--to", grid[1], "--steps", grid[2],
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestRandom:

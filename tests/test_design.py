@@ -1,5 +1,7 @@
 """Coincidence checks and network construction."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,50 @@ def reference_design_branches(problem, starts, tol=1e-8, seed=0):
     return distinct
 
 
+def reference_kernel_basis(a):
+    """Orthonormal basis (m columns) of the symmetric zero-diagonal W with Wa = 0.
+
+    Upper-triangle entries in row-major order; the full SVD of the n x m
+    constraint matrix with the rank cut at 1e-12 * max(s_max, 1), as
+    ``symmetric_design`` sampled before it took the closed-form projection.
+    """
+    n = a.size
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    cons = np.zeros((n, len(pairs)))
+    for k, (i, j) in enumerate(pairs):
+        cons[i, k] += a[j]
+        cons[j, k] += a[i]
+    _, sv, vt = np.linalg.svd(cons)
+    scale = max(float(sv[0]), 1.0) if sv.size else 1.0
+    return vt[int(np.sum(sv > 1e-12 * scale)) :].T
+
+
+def exact_kernel_projection(a, z):
+    """The projection of z onto the kernel of C (upper triangle, row-major) in exact arithmetic.
+
+    Solves ``(C C^T) y = C z`` over the rationals, so it needs C of full row rank n.
+    """
+    n = a.size
+    pairs = list(zip(*np.triu_indices(n, 1)))
+    av = [Fraction(float(v)) for v in a]
+    zv = [Fraction(float(v)) for v in z]
+    rows = [[Fraction(0)] * n + [Fraction(0)] for _ in range(n)]
+    for k, (i, j) in enumerate(pairs):
+        rows[i][n] += av[j] * zv[k]
+        rows[j][n] += av[i] * zv[k]
+    total = sum(v * v for v in av)
+    for i in range(n):
+        for k in range(n):
+            rows[i][k] = av[i] * av[k] + (total - 2 * av[i] * av[i] if i == k else 0)
+    for c in range(n):  # Gauss-Jordan; C C^T is positive definite, so no pivot is zero
+        for r in range(n):
+            if r != c:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    y = [rows[i][n] / rows[i][i] for i in range(n)]
+    return np.array([float(zv[k] - y[i] * av[j] - y[j] * av[i]) for k, (i, j) in enumerate(pairs)])
+
+
 class TestCheckCoincidence:
     def test_empty_network_always_coincides(self):
         check = check_coincidence(lq(np.zeros((3, 3)), np.array([1.0, 0.5, 2.0])))
@@ -226,6 +272,97 @@ class TestSymmetricDesign:
         np.testing.assert_allclose(sol.adjacency.g @ a, np.zeros(5), atol=1e-13)
         assert potential_check(sol.adjacency)
 
+    def test_projection_matches_kernel_basis(self):
+        # the seed's Gaussian upper triangle z, projected: K K^T z up to the final rescale
+        rng = np.random.default_rng(90)
+        cases = [np.ones(n) for n in (4, 7, 10)] + [np.array([1.5, 0.0, 0.7])]
+        cases += [rng.uniform(0.0, 2.0, int(rng.integers(4, 11))) for _ in range(40)]
+        for seed, a in enumerate(cases):
+            n = a.size
+            iu = np.triu_indices(n, 1)
+            z = np.random.default_rng(seed).standard_normal(iu[0].size)
+            k = reference_kernel_basis(a)
+            p = k @ (k.T @ z)
+            g = symmetric_design(a, seed=seed, max_abs=1.0).adjacency.g
+            assert np.max(np.abs(g[iu] * sup(p) - p)) <= 1e-13
+
+    def test_infeasible_exactly_where_kernel_is_trivial(self):
+        rng = np.random.default_rng(91)
+        outcomes = set()
+        for trial in range(300):
+            n = 2 + trial % 2
+            a = rng.uniform(0.0, 3.0, n) * (rng.random(n) < 0.7)
+            trivial = reference_kernel_basis(a).shape[1] == 0
+            try:
+                symmetric_design(a, seed=trial)
+                raised = False
+            except InfeasibleDesign:
+                raised = True
+            assert raised == trivial
+            outcomes.add((n, raised))
+        assert outcomes == {(2, False), (2, True), (3, False), (3, True)}
+
+    def test_infeasible_exactly_where_kernel_is_trivial_multiscale(self):
+        # entries spread over 15 decades, so singular values of C fall on both sides of the
+        # 1e-12 max(s_max, 1) cut that decides the kernel
+        rng = np.random.default_rng(93)
+        outcomes = set()
+        for trial in range(300):
+            n = 2 + trial % 2
+            a = 10.0 ** rng.uniform(-15.0, 0.0, n) * (rng.random(n) < 0.8)
+            a = a * 10.0 ** rng.uniform(-3.0, 3.0)
+            trivial = reference_kernel_basis(a).shape[1] == 0
+            try:
+                symmetric_design(a, seed=trial)
+                raised = False
+            except InfeasibleDesign:
+                raised = True
+            assert raised == trivial
+            outcomes.add((n, raised))
+        assert outcomes == {(2, False), (2, True), (3, False), (3, True)}
+
+    def test_three_players_with_a_tiny_entry_infeasible(self):
+        # C's least singular value is ~1e-9 of its largest: small, but far above the cut
+        with pytest.raises(InfeasibleDesign):
+            symmetric_design(np.array([1e-9, 1.0, 1.0]), seed=0)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [1e-9, 1e-9, 1.0, 1.0],
+            [1e-9, 3e-9, 1.0, 1.0 + 2.0**-30],
+            [1.0, 1e-5, 2e-5, 3e-5],
+            [1e-6, 1.0, 1.0, 5e-7, 1e-7],
+            [1e-11, 1.0, 1.0, 2e-11, 0.5],
+            [1e-12, 2e-12, 1.0, 1.0],  # s_min = 1.58 x the cut: needs all four passes
+            [1e200, 2e200, 1e199, 3e200, 5e199],
+        ],
+    )
+    def test_ill_conditioned_projection_is_exact(self, a):
+        # C has one singular value 1e-5..1.6e-12 of its largest; the projection must still
+        # match exact rational arithmetic, and Ga vanish to rounding
+        a = np.array(a)
+        iu = np.triu_indices(a.size, 1)
+        z = np.random.default_rng(4).standard_normal(iu[0].size)
+        p = exact_kernel_projection(a, z)
+        sol = symmetric_design(a, seed=4, max_abs=1.0)
+        g = sol.adjacency.g
+        assert np.max(np.abs(g[iu] * sup(p) - p)) <= 1e-13 * sup(p)
+        assert sol.residual_ne <= 1e-15 * sup(a)
+        if sup(a) == 1.0:
+            # the old full-SVD basis is accurate only to about eps s_max / s_min of C,
+            # at most 1.4e-4 here (4.8e-8 for the first a, 1.3e-5 at 1.58 x the cut)
+            k = reference_kernel_basis(a)
+            assert np.max(np.abs(k @ (k.T @ z) - p)) <= 1.4e-4
+
+    def test_two_hundred_players(self):
+        a = np.random.default_rng(92).uniform(0.0, 2.0, 200)
+        for scale in (1.0, 1e200):  # a @ a alone would overflow at the larger scale
+            g = symmetric_design(a * scale, seed=3).adjacency.g
+            assert sup(g @ (a * scale)) <= 1e-12 * (1.0 + sup(a * scale))
+            assert np.array_equal(g, g.T) and not np.any(np.diagonal(g))
+            assert sup(g) == pytest.approx(0.3, rel=1e-15)
+
 
 class TestDesignSolve:
     def problem3(self):
@@ -293,6 +430,31 @@ class TestDesignSolve:
         assert len(run.solutions) == 1
         np.testing.assert_allclose(
             run.solutions[0].x_star.x, [1.4046, 0.19173, 0.07544], rtol=0, atol=1e-3
+        )
+
+    def test_wide_box_after_total_narrow_failure(self):
+        # every converged start of the [-5, 5] sweep (5 of 8) has a negative action; the
+        # [-50, 50] sweep converges 3 starts, 2 of them negative, and keeps one branch
+        problem = DesignProblem(
+            n=3,
+            a=np.array([1.8948612854955176, 0.859263433208392, 0.9059578256675852]),
+            fixed=((3, 1, -8.890840251117716), (2, 3, -4.132028627724161),
+                   (1, 2, -12.089563649853098)),
+            free=((1, 3), (2, 1), (3, 2)),
+        )
+        run = design_solve(problem, starts=8, seed=126)
+        assert (run.converged_starts, run.rejected_negative, run.iterations) == (8, 7, 160)
+        assert len(run.solutions) == 1
+        sol = run.solutions[0]
+        want_g = [
+            [0.0, -12.089563649853098, 8.905570441908644],
+            [13.784591390474645, 0.0, -4.132028627724161],
+            [-8.890840251117716, 3.617937953550848, 0.0],
+        ]
+        np.testing.assert_allclose(sol.adjacency.g, want_g, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            sol.x_star.x, [0.4029530539054108, 0.868466104581017, 1.3464925755044967],
+            rtol=1e-12, atol=0,
         )
 
     def test_no_solution_raises(self):

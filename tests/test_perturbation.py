@@ -122,6 +122,26 @@ def non_p_configs(rng, count):
         yield SweepConfig(game, pattern, np.linspace(-0.5, 0.5, 21), "constrained")
 
 
+def reference_lipschitz_check(report, k_cap):
+    """``lipschitz_check`` as a loop over adjacent row pairs, as it ran before it
+    shared ``sweep``'s ratio helper; returns (bounded, max_ratio)."""
+    feasible = [r for r in report.rows if r.feasible]
+    if len(feasible) < 2:
+        raise InsufficientData("need at least two feasible rows")
+    max_ratio = 0.0
+    pairs = 0
+    for prev, cur in zip(report.rows, report.rows[1:]):
+        if not (prev.feasible and cur.feasible):
+            continue
+        pairs += 1
+        num = abs(cur.social_cost - prev.social_cost)
+        den = (cur.delta - prev.delta) * report.pattern_norm
+        max_ratio = max(max_ratio, perturbation._ratio(num, den))
+    if pairs == 0:
+        raise InsufficientData("no adjacent feasible pair in the report")
+    return max_ratio <= k_cap * report.delta_cap, max_ratio
+
+
 class TestSweep:
     def test_zero_pattern_constant_cost(self):
         game = lq(np.array([[0.0, 0.2], [0.1, 0.0]]), np.array([1.0, 1.0]))
@@ -372,6 +392,34 @@ class TestBlockedSweepMatchesReference:
 
 
 class TestLipschitzCheck:
+    def test_matches_reference_loop(self):
+        # interior sweeps with "ok" but infeasible rows, and constrained non-P sweeps
+        rng = np.random.default_rng(2025)
+        configs = list(non_p_configs(np.random.default_rng(79), 30))
+        for _ in range(30):
+            n = int(rng.integers(2, 9))
+            g = rng.normal(size=(n, n)) * rng.uniform(0.1, 1.2) / np.sqrt(n)
+            pattern = rng.normal(size=(n, n))
+            np.fill_diagonal(g, 0.0)
+            np.fill_diagonal(pattern, 0.0)
+            game = lq(g, rng.uniform(-0.5, 2.0, n))
+            configs.append(SweepConfig(game, pattern, np.linspace(-1, 1, 41)))
+        ok_infeasible = raised = 0
+        for config in configs:
+            report = sweep(config)
+            ok_infeasible += any(r.status == "ok" and not r.feasible for r in report.rows)
+            for k_cap in (0.1, 1.0, 10.0):
+                try:
+                    want = reference_lipschitz_check(report, k_cap)
+                except InsufficientData as exc:
+                    with pytest.raises(InsufficientData, match=str(exc)):
+                        lipschitz_check(report, k_cap)
+                    raised += 1
+                    continue
+                got = lipschitz_check(report, k_cap)
+                assert (got.bounded, got.max_ratio.hex()) == (want[0], want[1].hex())
+        assert ok_infeasible >= 20 and 0 < raised < 3 * len(configs)
+
     def test_constant_report_bounded(self):
         game = lq(np.zeros((2, 2)), np.array([1.0, 1.0]))
         config = SweepConfig(
