@@ -39,9 +39,13 @@ def _g(adjacency) -> np.ndarray:
     return np.asarray(adjacency, dtype=float)
 
 
-# ||M||_2 and ||M||_inf, per member of a stack (..., n, n)
+# ||M||_2 and ||M||_inf, per member of a stack (..., n, n).  sigma_max^2 is the top eigenvalue
+# of U^T U, U = M/max|M| (>= 1 unless M = 0): squaring costs no relative accuracy for the largest
+# singular value, only for the least (_singularity keeps the SVD), and U cannot overflow.
 def _spectral_norm(m):
-    return np.linalg.svd(m, compute_uv=False)[..., 0]
+    s = np.maximum(np.abs(m).max(axis=(-2, -1), keepdims=True), np.finfo(float).tiny)
+    u = m / s
+    return s[..., 0, 0] * np.sqrt(np.linalg.eigvalsh(np.swapaxes(u, -1, -2) @ u)[..., -1])
 
 
 def _rowsum_norm(m):

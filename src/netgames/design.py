@@ -170,9 +170,9 @@ def symmetric_design(a, seed: int = 0, max_abs: float = 0.3) -> DesignSolution:
     A Gaussian symmetric zero-diagonal W (upper triangle row-major from
     ``seed``) is projected onto the kernel of ``C: W -> Wa`` in closed form,
     through the n x n matrix C C^T, and rescaled to ``max_abs`` sup norm.
-    Singular values of C up to 1e-12 max(s_max, 1) count as zero, so
-    InfeasibleDesign (a trivial kernel) comes for n=2 with a != 0 or n=3 with
-    every a_i != 0, unless a is that close to a vector with a zero.
+    Singular values of C up to 1e-12 s_max count as zero, a cut relative to the
+    scale of a, so InfeasibleDesign (a trivial kernel) comes for n=2 with a != 0
+    or n=3 with every a_i != 0, unless a is that close to a vector with a zero.
     """
     a = np.array(a, dtype=float)
     if a.ndim != 1 or a.size < 2:
@@ -190,8 +190,8 @@ def symmetric_design(a, seed: int = 0, max_abs: float = 0.3) -> DesignSolution:
     # (Courant-Fischer), so only the least loses digits; recompute it as |C^T q|^2, q its vector
     lam, q = np.linalg.eigh(np.diag(b @ b - 2.0 * b**2) + np.outer(b, b))
     lam[0] = np.sum(np.triu(np.outer(q[:, 0], b) + np.outer(b, q[:, 0]), 1) ** 2)
-    sv = np.sqrt(lam) * scale  # the singular values of C
-    inv = np.divide(1.0, lam, out=np.zeros(n), where=sv > 1e-12 * max(sv[-1], 1.0))
+    sv = np.sqrt(lam)  # the singular values of C for b; s_max >= 1 unless a = 0
+    inv = np.divide(1.0, lam, out=np.zeros(n), where=sv > 1e-12 * sv[-1])
     if np.count_nonzero(inv) == iu[0].size:
         raise InfeasibleDesign(
             f"no nonzero symmetric design exists for n={n} with this a"

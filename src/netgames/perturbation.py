@@ -3,7 +3,8 @@
 A sweep solves the game along ``G(delta) = G + delta * pattern`` and records
 cost, feasibility, and continuity margins per grid point, plus empirical
 Lipschitz ratios between adjacent points.  A block of grid points takes one
-batched SVD for its margins and, if interior, one stacked ``solve_linear``.
+batched symmetric eigensolve for its margins (``certificates._spectral_norm``)
+and, if interior, one stacked ``solve_linear``.
 A grid point where the solver fails (a singular system, or no convergence)
 is marked by its row's status, never fatal.
 """

@@ -14,9 +14,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .games import AdjacencyMatrix, NetworkGame
+from .games import AdjacencyMatrix, NetworkGame, _as_vector
 from .design import RANK_TOL, _coincides, _singularity
-from .equilibrium import solve_ne_interior
+from .equilibrium import DEFAULT_TOL, _norm_inf, solve_ne_interior
 from .errors import SingularSystem
 
 
@@ -136,11 +136,20 @@ def coincidence_feasibility_scan(
     as non-coincident.  Each sample is drawn and decomposed once: ``stats``
     holds the ``singularity_stats`` of the same samples.
     """
-    return _scan(config, np.asarray(a, dtype=float), tol, rank_tol)
+    return _scan(config, _as_vector(a, config.n, "a"), tol, rank_tol)
 
 
 def _scan(config: ErConfig, a, tol: float, rank_tol: float) -> ScanCounts:
-    """One pass over the samples: one SVD each, plus a coincidence test unless a is None."""
+    """One pass over the samples: one SVD each, plus a coincidence test unless a is None.
+
+    Any x from ``solve_ne_interior`` has ``||(I+G)x - a||_inf <= r = DEFAULT_TOL(1+||a||_inf)``,
+    so ``||G^T x||_inf >= s_min ||x||_2/sqrt(n) >= s_min (||a||_2 - sqrt(n) r)/(sqrt(n)(1+s_max))``.
+    Where that bound, with s_min lowered by 2n^2 eps s_max for the rounding of the SVD, of
+    fl(G^T x) and of the residual, exceeds tol(1+||a||_inf), the sample is not coincident and
+    is not solved.  Both sides are divided by 1+||a||_inf, so nothing overflows.
+    """
+    if a is not None:
+        reach = np.linalg.norm(a / (1.0 + _norm_inf(a))) - np.sqrt(config.n) * DEFAULT_TOL
     min_svs = []
     n_singular = 0
     n_coincident = 0
@@ -148,7 +157,8 @@ def _scan(config: ErConfig, a, tol: float, rank_tol: float) -> ScanCounts:
         sv, singular = _singularity(adjacency.g, rank_tol)
         min_svs.append(float(sv[-1]))
         n_singular += singular
-        if a is None:
+        s_eff = sv[-1] - 2.0 * config.n**2 * np.finfo(float).eps * sv[0]
+        if a is None or s_eff > 0 and s_eff * reach > tol * np.sqrt(config.n) * (1.0 + sv[0]):
             continue
         game = NetworkGame(adjacency, a)
         try:

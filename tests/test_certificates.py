@@ -1,5 +1,7 @@
 """Uniqueness and continuity certificates."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -20,6 +22,7 @@ from netgames import (
     four_player_symmetric_example,
     solve_vi,
 )
+from netgames.certificates import _spectral_norm
 
 EX3_G = np.array(
     [
@@ -228,6 +231,47 @@ class TestImplicationChain:
                 eq = solve_vi(game, x0=rng.uniform(0, 2, n))
                 np.testing.assert_allclose(eq.x.x, ref, rtol=0, atol=1e-6)
             done += 1
+
+
+def svd_sigma_max(m):
+    return np.linalg.svd(m, compute_uv=False)[..., 0]
+
+
+class TestSpectralNorm:
+    def population(self):
+        rng = np.random.default_rng(41)
+        yield np.array([[-3.5]])
+        yield np.zeros((1, 1))
+        yield np.zeros((5, 5))
+        for trial in range(60):
+            n = int(rng.integers(1, 30))
+            yield np.outer(rng.normal(size=n), rng.normal(size=n))  # rank 1
+            yield np.linalg.qr(rng.normal(size=(n, n)))[0] * 10.0 ** rng.uniform(-6, 6)  # repeated
+            yield rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-6, 6, (n, n))  # over 12 decades
+
+    def test_matches_svd(self):
+        for m in self.population():
+            ref = svd_sigma_max(m)
+            assert abs(_spectral_norm(m) - ref) <= 1e-13 * ref
+
+    def test_stack_with_a_zero_member(self):
+        rng = np.random.default_rng(42)
+        stack = rng.normal(size=(6, 8, 8))
+        stack[3] = 0.0
+        got = _spectral_norm(stack)
+        assert got.shape == (6,) and got[3] == 0.0
+        np.testing.assert_allclose(got, svd_sigma_max(stack), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_scales(self, scale):
+        # the squared entries of g * scale overflow or underflow: the scaling must avoid both
+        g = random_adjacency(np.random.default_rng(43), 12, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _spectral_norm(g * scale)
+            cert = cert_continuity(AdjacencyMatrix(g * scale))[0]
+        assert got == pytest.approx(scale * svd_sigma_max(g), rel=1e-13)
+        assert cert.details["sigma_max"] == got
 
 
 class TestAllCertificates:

@@ -131,8 +131,8 @@ def reference_kernel_basis(a):
     """Orthonormal basis (m columns) of the symmetric zero-diagonal W with Wa = 0.
 
     Upper-triangle entries in row-major order; the full SVD of the n x m
-    constraint matrix with the rank cut at 1e-12 * max(s_max, 1), as
-    ``symmetric_design`` sampled before it took the closed-form projection.
+    constraint matrix with the relative rank cut 1e-12 * s_max of
+    ``symmetric_design``, as it sampled before it took the closed-form projection.
     """
     n = a.size
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -141,8 +141,7 @@ def reference_kernel_basis(a):
         cons[i, k] += a[j]
         cons[j, k] += a[i]
     _, sv, vt = np.linalg.svd(cons)
-    scale = max(float(sv[0]), 1.0) if sv.size else 1.0
-    return vt[int(np.sum(sv > 1e-12 * scale)) :].T
+    return vt[int(np.sum(sv > 1e-12 * sv[0])) :].T
 
 
 def exact_kernel_projection(a, z):
@@ -248,6 +247,15 @@ class TestSymmetricDesign:
         with pytest.raises(InfeasibleDesign):
             symmetric_design(np.ones(3), seed=0)
 
+    @pytest.mark.parametrize("scale", [1e-13, 1e-200, 1e200])
+    def test_infeasible_at_any_scale(self, scale):
+        # the kernel cut is relative, so a scaled a has the trivial kernel of (1, 1, 1)
+        with pytest.raises(InfeasibleDesign) as unit:
+            symmetric_design(np.ones(3), seed=0)
+        with pytest.raises(InfeasibleDesign) as scaled:
+            symmetric_design(scale * np.ones(3), seed=0)
+        assert str(scaled.value) == str(unit.value)
+
     def test_two_player_infeasible(self):
         with pytest.raises(InfeasibleDesign):
             symmetric_design(np.array([1.0, 2.0]), seed=0)
@@ -304,7 +312,7 @@ class TestSymmetricDesign:
 
     def test_infeasible_exactly_where_kernel_is_trivial_multiscale(self):
         # entries spread over 15 decades, so singular values of C fall on both sides of the
-        # 1e-12 max(s_max, 1) cut that decides the kernel
+        # 1e-12 s_max cut that decides the kernel
         rng = np.random.default_rng(93)
         outcomes = set()
         for trial in range(300):

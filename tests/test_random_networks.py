@@ -3,16 +3,52 @@
 import numpy as np
 import pytest
 
+import netgames.random_networks as random_networks
 from netgames import (
+    DimensionMismatch,
     ErConfig,
     NetworkGame,
     SingularSystem,
     WeightLaw,
     check_coincidence,
     coincidence_feasibility_scan,
+    four_player_symmetric_example,
     sample_er,
     singularity_stats,
 )
+from netgames.design import RANK_TOL, _coincides, _singularity
+from netgames.equilibrium import solve_ne_interior
+from netgames.random_networks import ScanCounts, SingularityStats
+
+
+def reference_scan(config, a, tol=1e-8, rank_tol=RANK_TOL):
+    """The scan with one SVD and one coincidence solve on every sample."""
+    a = np.asarray(a, dtype=float)
+    min_svs, n_singular, n_coincident = [], 0, 0
+    for adjacency in sample_er(config):
+        sv, singular = _singularity(adjacency.g, rank_tol)
+        min_svs.append(float(sv[-1]))
+        n_singular += singular
+        game = NetworkGame(adjacency, a)
+        try:
+            n_coincident += _coincides(game, solve_ne_interior(game).x.x, tol)[0]
+        except SingularSystem:
+            pass
+    stats = SingularityStats(n_singular / config.samples, float(np.mean(min_svs)))
+    return ScanCounts(config.samples, n_singular, n_coincident, stats)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Number of solve_ne_interior calls the scan has made."""
+    count = [0]
+
+    def counting(game):
+        count[0] += 1
+        return solve_ne_interior(game)
+
+    monkeypatch.setattr(random_networks, "solve_ne_interior", counting)
+    return count
 
 
 class TestSampling:
@@ -151,3 +187,73 @@ class TestCoincidenceScan:
                 expected += holds
             assert coincidence_feasibility_scan(config, a, tol=1e-8).coincident == expected
         assert outcomes == {True, False, "singular"}
+
+
+class TestScanSkip:
+    def test_matches_reference_loop(self, solves):
+        configs = [ErConfig(n=10, p=0.001, samples=10, seed=seed) for seed in range(3)]
+        configs += [ErConfig(n=8, p=0.2, samples=10, seed=3)]
+        configs += [
+            ErConfig(n=6, p=0.4, samples=10, seed=4, directed=True, weight_law=law)
+            for law in (WeightLaw("gaussian", sigma=1.0), WeightLaw("gaussian", sigma=1e6))
+        ]
+        rng = np.random.default_rng(31)
+        coincident = 0
+        for config in configs:
+            n = config.n
+            for a in (
+                np.ones(n),
+                rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.5),  # zeros
+                rng.uniform(-1.0, 2.0, n),  # negative entries
+                np.zeros(n),
+                10.0 ** rng.uniform(-8.0, 8.0, n),
+            ):
+                for tol in (1e-8, 1e3):
+                    scan = coincidence_feasibility_scan(config, a, tol=tol)
+                    assert scan == reference_scan(config, a, tol)
+                    coincident += scan.coincident
+        assert coincident > 0
+        assert 0 < solves[0] < 2 * len(configs) * 5 * 10  # some samples solved, some skipped
+
+    def test_near_singular_samples(self, monkeypatch, solves):
+        # two families on which the skip bound is nearly tight, with s_min/s_max from just above
+        # RANK_TOL up while tol crosses the bound.  G0 + e (J - I) with G0 1 = 0 and a = 1 has
+        # x = 1/(1+3e) and G^T x uniform, so only the factor 1 + s_max is slack; [[0, s], [e, 0]]
+        # with a = (s, 1) has x = (0, 1) and |(I+G)x| ~ 1 + s_max, so only sqrt(n) is slack
+        ratios = RANK_TOL * np.array([1.01, 1.5, 10.0, 1e3, 1e5, 1e7])
+        g0 = four_player_symmetric_example(1e-3, 2e-3).adjacency.g
+        s0 = np.linalg.norm(g0, 2)
+        families = [
+            ([g0 + s0 * r / 3.0 * (np.ones((4, 4)) - np.eye(4)) for r in ratios], np.ones(4)),
+            ([np.array([[0.0, 1e3], [1e3 * r, 0.0]]) for r in ratios], np.array([1e3, 1.0])),
+        ]
+        tols = 10.0 ** np.arange(-18.0, -2.0, 0.25)
+        for samples, a in families:
+            assert not any(_singularity(g)[1] for g in samples)
+            monkeypatch.setattr(random_networks, "_sample_one", lambda c, k, gs=samples: gs[k])
+            config = ErConfig(n=a.size, p=0.5, samples=len(samples), seed=0)
+            coincident, solves[0] = 0, 0
+            for tol in tols:
+                scan = coincidence_feasibility_scan(config, a, tol=tol)
+                assert scan == reference_scan(config, a, tol)
+                coincident += scan.coincident
+            assert 0 < coincident <= solves[0] < tols.size * len(samples)
+
+    def test_invalid_a_raises_when_every_sample_is_skipped(self, solves):
+        config = ErConfig(n=30, p=0.3, samples=3, seed=2)
+        assert coincidence_feasibility_scan(config, np.ones(30)).coincident == 0
+        assert solves[0] == 0
+        with pytest.raises(DimensionMismatch):
+            coincidence_feasibility_scan(config, np.ones(29))
+        with pytest.raises(ValueError):
+            coincidence_feasibility_scan(config, np.r_[np.ones(29), np.nan])
+
+    def test_dense_scan_solves_almost_nothing(self, solves):
+        config = ErConfig(n=100, p=0.3, samples=200, seed=7)
+        assert coincidence_feasibility_scan(config, np.ones(100)).coincident == 0
+        assert solves[0] <= 2
+
+    def test_singular_samples_are_solved(self, solves):
+        config = ErConfig(n=10, p=0.001, samples=40, seed=17)
+        scan = coincidence_feasibility_scan(config, np.ones(10))
+        assert scan.singular == solves[0] == config.samples
