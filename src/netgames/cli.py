@@ -104,6 +104,8 @@ def _cmd_design(args) -> int:
         raise GameFileError("--starts must be at least 1")
     if not args.tol > 0:
         raise GameFileError("--tol must be positive")
+    if args.seed < 0:
+        raise GameFileError("--seed must be nonnegative")
     problem = load_problem(args.problem)
     run = design_solve(problem, starts=args.starts, tol=args.tol, seed=args.seed)
     doc = {

@@ -1,9 +1,9 @@
 """Monte-Carlo study of coincidence feasibility on random networks.
 
-Samples Erdos-Renyi adjacency matrices and measures how often they are
-singular (a necessary condition for a nonzero coincident equilibrium) and how
-often the coincidence actually holds.  Per-sample RNG streams are derived
-from (seed, sample index), so results do not depend on evaluation order.
+Samples Erdos-Renyi adjacency matrices from per-sample RNG streams of (seed, sample
+index), so results do not depend on evaluation order, and counts the singular ones (a
+necessary condition for a nonzero coincident equilibrium) and the coincident ones.  Each
+sample takes one SVD; it is solved only where no singular-value bound settles coincidence.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ class WeightLaw:
     def __post_init__(self):
         if self.kind not in ("unit", "uniform", "gaussian"):
             raise ValueError(f"unknown weight law {self.kind!r}")
+        if not np.isfinite([self.lo, self.hi, self.mu, self.sigma, float(self.hi) - self.lo]).all():
+            raise ValueError("weight law parameters and hi - lo must be finite")
         if self.kind == "uniform" and not self.lo < self.hi:
             raise ValueError("uniform law requires lo < hi")
         if self.kind == "gaussian" and self.sigma <= 0:
@@ -80,6 +82,8 @@ class ErConfig:
             raise ValueError("p must lie strictly between 0 and 1")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 def _sample_one(config: ErConfig, index: int) -> np.ndarray:
@@ -87,19 +91,18 @@ def _sample_one(config: ErConfig, index: int) -> np.ndarray:
         np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
     )
     n = config.n
-    g = np.zeros((n, n))
     if config.directed:
         present = rng.random((n, n)) < config.p
-        weights = config.weight_law.draw(rng, (n, n))
-        g = np.where(present, weights, 0.0)
+        g = config.weight_law.draw(rng, (n, n))
+        g[~present] = 0.0
         np.fill_diagonal(g, 0.0)
-    else:
-        iu = np.triu_indices(n, 1)
-        present = rng.random(iu[0].size) < config.p
-        weights = config.weight_law.draw(rng, iu[0].size)
-        g[iu] = np.where(present, weights, 0.0)
-        g = g + g.T
-    return g
+        return g
+    present = rng.random(n * (n - 1) // 2) < config.p
+    weights = config.weight_law.draw(rng, present.size)
+    weights[~present] = 0.0
+    g = np.zeros((n, n))
+    g[~np.tri(n, dtype=bool)] = weights  # row-major, the order of triu_indices(n, 1)
+    return g + g.T
 
 
 def sample_er(config: ErConfig) -> Iterator[AdjacencyMatrix]:
@@ -142,25 +145,40 @@ def coincidence_feasibility_scan(
 def _scan(config: ErConfig, a, tol: float, rank_tol: float) -> ScanCounts:
     """One pass over the samples: one SVD each, plus a coincidence test unless a is None.
 
-    Any x from ``solve_ne_interior`` has ``||(I+G)x - a||_inf <= r = DEFAULT_TOL(1+||a||_inf)``,
-    so ``||G^T x||_inf >= s_min ||x||_2/sqrt(n) >= s_min (||a||_2 - sqrt(n) r)/(sqrt(n)(1+s_max))``.
-    Where that bound, with s_min lowered by 2n^2 eps s_max for the rounding of the SVD, of
-    fl(G^T x) and of the residual, exceeds tol(1+||a||_inf), the sample is not coincident and
-    is not solved.  Both sides are divided by 1+||a||_inf, so nothing overflows.
+    Any x from ``solve_ne_interior`` has ``(I+G)x = a + e`` with ``||e||_inf <= r =
+    DEFAULT_TOL(1+||a||_inf)``.  The sample is not coincident, and is not solved, where a lower
+    bound on ``||G^T x||_inf`` exceeds ``tol(1+||a||_inf)``.  Two bounds serve:
+    ``s_min ||x||_2/sqrt(n)`` with ``||x||_2 >= (||a||_2 - sqrt(n) r)/(1+s_max)``; and, for
+    G = G^T, ``||Gx||_2/sqrt(n)`` with ``||Gx||_2 >= (||Ga||_2 - s_max sqrt(n) r)/(1+s_max)``,
+    since G commutes with I+G and so ``(I+G)Gx = G(a+e)``.  The second needs no s_min and so
+    decides singular samples too; where Ga = 0, as on edgeless samples, it cannot fire.
+    The allowance ``c = 2n^2 eps`` covers the rounding of the SVD, of fl(Ga), of fl(G^T x) and
+    of the residual, the last two via ``||x||_2 <= ||Gx||_2 + ||a||_2 + ||e||_2``.  Both sides
+    are divided by 1+||a||_inf, so nothing overflows.
     """
+    n, c = config.n, 2.0 * config.n**2 * np.finfo(float).eps
     if a is not None:
-        reach = np.linalg.norm(a / (1.0 + _norm_inf(a))) - np.sqrt(config.n) * DEFAULT_TOL
-    min_svs = []
-    n_singular = 0
-    n_coincident = 0
-    for adjacency in sample_er(config):
-        sv, singular = _singularity(adjacency.g, rank_tol)
+        unit = a / (1.0 + _norm_inf(a))
+        size, root_r = np.linalg.norm(unit), np.sqrt(n) * DEFAULT_TOL
+        reach, radius = size - root_r, (1.0 + c) * root_r + c * size
+    min_svs, n_singular, n_coincident = [], 0, 0
+    for k in range(config.samples):
+        g = _sample_one(config, k)
+        if not np.isfinite(g).all():
+            raise ValueError("matrix entries must be finite")
+        sv, singular = _singularity(g, rank_tol)
         min_svs.append(float(sv[-1]))
         n_singular += singular
-        s_eff = sv[-1] - 2.0 * config.n**2 * np.finfo(float).eps * sv[0]
-        if a is None or s_eff > 0 and s_eff * reach > tol * np.sqrt(config.n) * (1.0 + sv[0]):
+        s_eff = sv[-1] - c * sv[0]
+        if a is None or s_eff > 0 and s_eff * reach > tol * np.sqrt(n) * (1.0 + sv[0]):
             continue
-        game = NetworkGame(adjacency, a)
+        s_up = sv[0] * (1.0 + c)
+        eta = 4.0 * c * (1.0 + s_up)  # twice the rounding terms' multiples of ||x||_2
+        if eta * np.sqrt(n) < 1.0 and np.array_equal(g, g.T):
+            y = (np.linalg.norm(g @ unit) - s_up * (radius + eta * (size + radius))) / (1.0 + s_up)
+            if y / np.sqrt(n) - eta * (y + size + radius) > tol * (1.0 + c):
+                continue
+        game = NetworkGame(AdjacencyMatrix(g), a)
         try:
             if _coincides(game, solve_ne_interior(game).x.x, tol)[0]:
                 n_coincident += 1

@@ -199,7 +199,9 @@ class TestDesign:
         code, _, err = run_cli(capsys, "design", "--problem", str(path), "--starts", "4")
         assert code == 3
 
-    @pytest.mark.parametrize("flag", [["--starts", "0"], ["--starts", "-3"], ["--tol", "-1"]])
+    @pytest.mark.parametrize(
+        "flag", [["--starts", "0"], ["--starts", "-3"], ["--tol", "-1"], ["--seed", "-1"]]
+    )
     def test_invalid_arguments_exit_1(self, tmp_path, capsys, flag):
         problem = {"n": 2, "a": [1.0, 1.0], "fixed": [], "free": [[1, 2]]}
         path = tmp_path / "problem.json"
@@ -208,6 +210,7 @@ class TestDesign:
         assert code == 1
         assert out == ""
         assert flag[0] in err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestCertify:
@@ -365,6 +368,24 @@ class TestRandom:
             "--weights", "uniform:0.5,1.5",
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--weights", "gaussian:0,nan"],
+            ["--weights", "gaussian:0,inf"],
+            ["--weights", "gaussian:inf,1"],
+            ["--weights", "uniform:0,inf"],
+            ["--weights", "uniform:-1e308,1e308"],
+            ["--seed", "-1"],
+        ],
+    )
+    def test_invalid_sampling_exit_1(self, capsys, flags):
+        args = {"--n": "5", "--samples": "3", "--p": "0.5", "--seed": "1"}
+        args.update([flags])
+        code, out, err = run_cli(capsys, "random", *[w for kv in args.items() for w in kv])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_bad_weights_exit_1(self, capsys):
         code, _, err = run_cli(

@@ -38,6 +38,25 @@ def reference_scan(config, a, tol=1e-8, rank_tol=RANK_TOL):
     return ScanCounts(config.samples, n_singular, n_coincident, stats)
 
 
+def reference_sample(config, index):
+    """The sampler that built its upper triangle from ``np.triu_indices`` on every call."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(index,)))
+    n = config.n
+    g = np.zeros((n, n))
+    if config.directed:
+        present = rng.random((n, n)) < config.p
+        weights = config.weight_law.draw(rng, (n, n))
+        g = np.where(present, weights, 0.0)
+        np.fill_diagonal(g, 0.0)
+    else:
+        iu = np.triu_indices(n, 1)
+        present = rng.random(iu[0].size) < config.p
+        weights = config.weight_law.draw(rng, iu[0].size)
+        g[iu] = np.where(present, weights, 0.0)
+        g = g + g.T
+    return g
+
+
 @pytest.fixture
 def solves(monkeypatch):
     """Number of solve_ne_interior calls the scan has made."""
@@ -98,6 +117,34 @@ class TestSampling:
         for adj in sample_er(gauss):
             saw_negative |= bool(np.any(adj.g < 0))
         assert saw_negative
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("law", ["unit", "uniform:-1,1", "gaussian:0.5,2"])
+    def test_matches_triu_indices_sampler(self, directed, law):
+        for n, p in ((1, 0.5), (2, 0.9), (7, 0.3), (40, 0.05)):
+            config = ErConfig(n, p, 4, seed=n, weight_law=WeightLaw.parse(law), directed=directed)
+            for k in range(config.samples):
+                new, old = random_networks._sample_one(config, k), reference_sample(config, k)
+                assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("gaussian", {"sigma": float("nan")}),
+            ("gaussian", {"sigma": float("inf")}),
+            ("gaussian", {"mu": float("inf")}),
+            ("uniform", {"hi": float("inf")}),
+            ("uniform", {"lo": -1e308, "hi": 1e308}),  # finite ends, infinite width
+            ("unit", {"lo": float("nan")}),
+        ],
+    )
+    def test_weight_law_must_be_finite(self, kind, params):
+        with pytest.raises(ValueError, match="finite"):
+            WeightLaw(kind, **params)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            ErConfig(n=5, p=0.5, samples=1, seed=-1)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -257,3 +304,62 @@ class TestScanSkip:
         config = ErConfig(n=10, p=0.001, samples=40, seed=17)
         scan = coincidence_feasibility_scan(config, np.ones(10))
         assert scan.singular == solves[0] == config.samples
+
+
+class TestSymmetricBound:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [0.001, 0.01, 0.05, 0.3])
+    def test_matches_reference_on_undirected_samples(self, p, solves):
+        laws = [WeightLaw(), WeightLaw("uniform", lo=-1.0, hi=1.0)]
+        laws += [WeightLaw("gaussian", sigma=sigma) for sigma in (1.0, 1e6, 1e300)]
+        rng = np.random.default_rng(43)
+        scanned = 0
+        for i, law in enumerate(laws):
+            config = ErConfig(n=(30, 6, 15)[i % 3], p=p, samples=4, seed=i, weight_law=law)
+            n = config.n
+            for a in (
+                np.ones(n),
+                rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.5),  # zeros
+                rng.uniform(-1.0, 2.0, n),  # negative entries
+                np.zeros(n),
+                10.0 ** rng.uniform(-8.0, 8.0, n),
+            ):
+                for tol in (1e-8, 1e3):
+                    scan = coincidence_feasibility_scan(config, a, tol=tol)
+                    assert scan == reference_scan(config, a, tol)
+                    scanned += config.samples
+        assert 0 < solves[0] < scanned
+
+    def test_tight_on_a_singular_family(self, monkeypatch, solves):
+        # G = G0 + e E: G0 is the 4-player design (G0 1 = 0) plus an isolated fifth player, and
+        # E joins the first four, so G is singular and only the symmetric bound can decide.  With
+        # a = 1, x = 1/(1+3e) on the four and ||G^T x||_inf = 3e/(1+3e), while s_max = 3e makes
+        # the bound exactly 2/sqrt(5) of that: tight but for the sqrt(n) of a vector with one
+        # zero entry.  Dropping sqrt(n) or 1+s_max from the bound overshoots the true value.
+        g0 = np.zeros((5, 5))
+        g0[:4, :4] = four_player_symmetric_example(1e-3, 2e-3).adjacency.g
+        joins = np.zeros((5, 5))
+        joins[:4, :4] = np.ones((4, 4)) - np.eye(4)
+        a = np.ones(5)
+        config = ErConfig(n=5, p=0.5, samples=1, seed=0)
+        for e in (1e-2, 0.1, 0.3, 1.0, 3.0, 100.0):
+            g = g0 + e * joins
+            assert _singularity(g)[1]
+            monkeypatch.setattr(random_networks, "_sample_one", lambda c, k, g=g: g)
+            exact = 3.0 * e / (1.0 + 3.0 * e) / 2.0  # ||G^T x||_inf / (1 + ||a||_inf)
+            for factor in 10.0 ** np.arange(-0.5, 0.5, 0.01):
+                solves[0] = 0
+                scan = coincidence_feasibility_scan(config, a, tol=factor * exact)
+                assert scan == reference_scan(config, a, factor * exact)
+                assert solves[0] == (factor > 2.0 / np.sqrt(5.0))
+
+    def test_readme_scans_solve_only_edgeless_samples(self, solves):
+        sparse = ErConfig(n=100, p=0.001, samples=200, seed=7)
+        edgeless = sum(not random_networks._sample_one(sparse, k).any() for k in range(200))
+        assert coincidence_feasibility_scan(sparse, np.ones(100)).coincident == edgeless == 1
+        assert solves[0] == 1
+        gaussian = WeightLaw.parse("gaussian:0,1")
+        directed = ErConfig(n=100, p=0.3, samples=200, seed=7, directed=True, weight_law=gaussian)
+        solves[0] = 0
+        assert coincidence_feasibility_scan(directed, np.ones(100)).coincident == 0
+        assert solves[0] <= 2
