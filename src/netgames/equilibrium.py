@@ -4,8 +4,12 @@ Every solver reads its first-order map ``F(x) = Mx - b`` from
 ``games._system``: ``(I+G, a)`` for the Nash equilibrium, ``(I+G+G^T, a)``
 for the social optimum, and ``(I + diag(1-d) S, c + d*theta)`` with S = G or
 G+G^T for their affine public-goods analogues.  Interior solutions solve
-``Mx = b`` in ``solve_linear``, where one inverse gives the exact 1-norm
-reciprocal condition, the solution and every refinement step.  On the
+``Mx = b`` in ``solve_linear`` behind an exact 1-norm rcond gate.  Strong
+monotonicity, the VI's uniqueness condition, proves that gate: if the symmetric part of
+U = M/max|M| less (sigma + 2n^2 eps) I has a floating-point Cholesky factor (Rump, BIT
+46, 2006), then sigma_min(U) >= sigma = sqrt(n) ||U||_1 RCOND_MIN, so rcond_1(M) >=
+RCOND_MIN and one LU solve gives x; otherwise, and below PROOF_MIN_N players, one
+inverse gives the gate, the solution and every refinement step.  On the
 nonnegative orthant (or a box) the solution concept is the variational
 inequality VI(X, F), a linear complementarity problem; ``solve_vi`` solves it
 by least-index principal pivoting, one ``solve_linear`` per pivot.  A custom
@@ -40,6 +44,7 @@ DEFAULT_MAX_ITERS = 100_000
 # system is treated as singular.  Since kappa_2/n <= kappa_1 <= n*kappa_2, the cut
 # sits within a factor n of the same threshold on the 2-norm condition number.
 RCOND_MIN = 1e-12
+PROOF_MIN_N = 64  # solve_linear proves the rcond gate from this size on; below, an inverse is cheaper
 
 INTERIOR_KINDS = ("interior-ne", "interior-social")
 CONSTRAINED_KINDS = ("constrained-ne", "constrained-social")
@@ -96,21 +101,51 @@ def _inverse(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for k in np.ndindex(m.shape[:-2]):
             with contextlib.suppress(np.linalg.LinAlgError):
                 inv[k] = np.linalg.inv(m[k])
-    rcond = 1.0 / (np.abs(m).sum(axis=-2).max(axis=-1) * np.abs(inv).sum(axis=-2).max(axis=-1))
+    # no product ||M|| ||M^-1||, which overflows where rcond is only tiny: ||M^-1|| >= 1/||M||
+    rcond = 1.0 / np.abs(inv).sum(axis=-2).max(axis=-1) / np.abs(m).sum(axis=-2).max(axis=-1)
     if m.ndim == 2 and not rcond >= RCOND_MIN:  # a non-finite inverse gives rcond 0 or nan
         raise SingularSystem(f"system is numerically singular (rcond = {rcond:.2e})")
     return inv, rcond
 
 
-def solve_linear(m: np.ndarray, b: np.ndarray, residual_target: float):
-    """Dense solve ``x = M^-1 b`` refined by up to 5 steps ``x += M^-1 r``.
+def _gate_proven(m: np.ndarray) -> bool:
+    """Whether a Cholesky factor of the shifted symmetric part proves rcond_1(M) >= RCOND_MIN."""
+    n, scale = m.shape[-1], max(m.max(), -m.min())  # max|M|
+    if not 0.0 < scale < np.inf:
+        return False
+    sigma = np.sqrt(n) * np.abs(m).sum(axis=0).max() / scale * RCOND_MIN
+    u = m / scale  # U, scaled before the sum so that no entry can overflow
+    u += u.T  # twice the symmetric part, so the shift is doubled too
+    u.flat[:: n + 1] -= 2.0 * (sigma + 2.0 * n * n * np.finfo(float).eps)
+    with contextlib.suppress(np.linalg.LinAlgError):
+        return np.linalg.cholesky(u) is not None  # the factor exists; it is not kept
+    return False
 
-    One inverse serves the condition check, the solve and every refinement.
-    Raises SingularSystem when ``_inverse`` does or the refined residual
-    cannot meet ``residual_target``.  A stack ``m`` (..., n, n) returns
-    ``(x, ok)`` instead, each member refined until it meets the target and
-    flagged (x nan, ok False) where it fails the rcond gate or the target.
+
+def solve_linear(m: np.ndarray, b: np.ndarray, residual_target: float):
+    """Dense solve of ``Mx = b`` behind the rcond gate of ``_inverse``.
+
+    From PROOF_MIN_N players on, the gate is first proven: with U = M/max|M| and
+    sigma = sqrt(n) ||U||_1 RCOND_MIN, a floating-point Cholesky factor of (U+U^T)/2 -
+    (sigma + 2n^2 eps) I proves x^T U x >= sigma ||x||_2^2 for all x (2n^2 eps covers
+    the rounding of U, of the symmetric part and of the factorization: Rump, BIT 46,
+    2006), so sigma_min(U) >= sigma, ||U^-1||_1 <= sqrt(n)/sigma and rcond_1(M) >=
+    RCOND_MIN.  One LU solve then gives x if it meets ``residual_target``.  Otherwise
+    one inverse serves the gate, the solve and up to 5 refinement steps, and
+    SingularSystem is raised where the gate or the target fails.  A stack (..., n, n)
+    returns ``(x, ok)``, each member flagged (x nan, ok False) where alone it raises.
     """
+    if m.ndim > 2 and m.shape[-1] >= PROOF_MIN_N:  # a stacked inverse saves only call overhead
+        b = np.broadcast_to(b, m.shape[:-1])
+        x = np.full(b.shape, np.nan)
+        for k in np.ndindex(m.shape[:-2]):
+            with contextlib.suppress(SingularSystem):
+                x[k] = solve_linear(m[k], b[k], residual_target)
+        return x, ~np.isnan(x[..., 0])  # a solved member meets the target, so holds no nan
+    if m.shape[-1] >= PROOF_MIN_N and _gate_proven(m):
+        x = np.linalg.solve(m, b)
+        if _norm_inf(b - m @ x) <= residual_target:
+            return x
     inv, rcond = _inverse(m)
     ok = rcond >= RCOND_MIN
     if m.ndim > 2:

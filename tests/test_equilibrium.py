@@ -1,5 +1,6 @@
 """Interior, constrained, and public-goods solvers."""
 
+import contextlib
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from matrix_oracles import p_matrix_check
 
 from netgames import (
     AdjacencyMatrix,
+    ErConfig,
     GammaFamily,
     MaxItersExceeded,
     NetworkGame,
@@ -19,7 +21,9 @@ from netgames import (
     PublicGoodsGame,
     SingularSystem,
     StepSelectionFailed,
+    WeightLaw,
     cert_strong_monotone,
+    coincidence_feasibility_scan,
     social_cost,
     solve_ne_interior,
     solve_ne_pg,
@@ -27,7 +31,13 @@ from netgames import (
     solve_social_pg,
     solve_vi,
 )
-from netgames.equilibrium import RCOND_MIN, _inverse, solve_linear
+from netgames.equilibrium import (
+    PROOF_MIN_N,
+    RCOND_MIN,
+    _gate_proven,
+    _inverse,
+    solve_linear,
+)
 
 EX3_G = np.array(
     [
@@ -147,7 +157,7 @@ class TestSolveLinear:
             np.fill_diagonal(g, 0.0)
             yield g, rng.uniform(-1.0, 2.0, n), rng.uniform(-0.5, 0.9, n)
 
-    @pytest.mark.parametrize("n", [5, 50, 200])
+    @pytest.mark.parametrize("n", [5, 50, PROOF_MIN_N, 200])
     def test_agrees_with_scipy(self, n):
         # independent oracle: scipy's LU solve on matrices assembled with explicit diagonals
         from scipy.linalg import solve
@@ -203,7 +213,7 @@ class TestSolveLinear:
             assert rcond == pytest.approx(1.0 / np.linalg.cond(m, 1), rel=1e-12)
             np.testing.assert_allclose(inv @ m, np.eye(n), rtol=0, atol=1e-10)
 
-    @pytest.mark.parametrize("n", [1, 4, 30])
+    @pytest.mark.parametrize("n", [1, 4, 30, PROOF_MIN_N + 8])
     def test_stack_equals_per_matrix_calls_bit_for_bit(self, n):
         rng = np.random.default_rng(50 + n)
         ms = np.eye(n) + rng.normal(size=(7, n, n)) * (0.6 / np.sqrt(n))
@@ -212,6 +222,10 @@ class TestSolveLinear:
         ms[3] = (u * np.logspace(0, -8, n)) @ u.T
         b = rng.uniform(-1.0, 2.0, (7, n))
         b[3] = ms[3] @ rng.uniform(-1.0, 1.0, n)
+        # two members whose symmetric part is negative definite: from PROOF_MIN_N on the
+        # monotone members take the proven solve and these two, one ill-conditioned, the inverse
+        ms = np.concatenate([ms, -ms[[0, 3]]])
+        b = np.concatenate([b, rng.uniform(-1.0, 2.0, (1, n)), [ms[8] @ rng.uniform(-1.0, 1.0, n)]])
         target = 1e-10 * (1.0 + np.max(np.abs(b)))
         inv, rcond = _inverse(ms)
         for stack, rhs in ((ms, b), (ms, b[3]), (ms[:3], b[0])):  # per member, then broadcast
@@ -220,7 +234,7 @@ class TestSolveLinear:
             for k, m in enumerate(stack):
                 want = solve_linear(m, rhs if rhs.ndim == 1 else rhs[k], target)
                 assert x[k].tobytes() == want.tobytes()
-        for k in range(7):
+        for k in range(len(ms)):
             inv_k, rcond_k = _inverse(ms[k])
             assert inv[k].tobytes() == inv_k.tobytes() and rcond[k] == rcond_k
 
@@ -247,6 +261,116 @@ class TestSolveLinear:
             solve_linear(ms[0], b, -1.0)
         x, ok = solve_linear(ms, b, -1.0)
         assert not ok.any() and np.isnan(x).all()
+
+    def test_overflowing_norm_product_is_singular_not_a_warning(self):
+        # ||M||_1 = ||M^-1||_1 = 1 + 1e300: their product overflows, rcond underflows to 0
+        m = np.array([[1.0, 1e300], [0.0, 1.0]])
+        with pytest.raises(SingularSystem, match="numerically singular"):
+            solve_linear(m, np.ones(2), 1e-10)
+        _, rcond = _inverse(np.stack([m, np.eye(2)]))
+        assert rcond.tolist() == [0.0, 1.0]
+        # a directed chain of 1e300 weights: its inverse holds entries near 1e300
+        config = ErConfig(n=27, p=0.0073364157625408506, samples=3, seed=361430,
+                          weight_law=WeightLaw("gaussian", mu=0.16524466870206347, sigma=1e300),
+                          directed=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = coincidence_feasibility_scan(config, np.ones(27))
+        assert counts.tested == 3
+
+    @staticmethod
+    def oracle_population():
+        """Seeded systems at n in [PROOF_MIN_N, 2 PROOF_MIN_N], scaled over ten decades."""
+        rng = np.random.default_rng(16)
+
+        def orthogonal(n):
+            return np.linalg.qr(rng.normal(size=(n, n)))[0]
+
+        for k in range(60):
+            n = int(rng.integers(PROOF_MIN_N, 2 * PROOF_MIN_N + 1))
+            kind = ("definite", "indefinite", "near-singular", "near-singular definite",
+                    "near the cut", "near the cut definite")[k % 6]
+            if kind == "definite":
+                m = np.eye(n) + rng.normal(size=(n, n)) * (rng.uniform(0.1, 0.6) / np.sqrt(n))
+            elif kind == "indefinite":
+                m = np.diag(rng.choice([-1.0, 1.0], n)) + rng.normal(size=(n, n)) * (0.3 / np.sqrt(n))
+            else:  # sigma_min = 1e-14 sigma_max, or kappa_2 in [1e9, 1e13] around the cut
+                q = orthogonal(n)
+                spectrum = np.logspace(0, -14 if "singular" in kind else -rng.uniform(9, 13), n)
+                m = (q * spectrum) @ (q if "definite" in kind else orthogonal(n)).T
+            m *= 10.0 ** rng.uniform(-5.0, 5.0)
+            yield kind, m, m @ rng.uniform(-1.0, 1.0, n)
+
+    def test_proof_keeps_every_verdict_of_the_exact_gate(self):
+        # independent oracles: numpy's 1-norm condition number for the verdict, scipy's LU
+        # solve for the solution
+        from scipy.linalg import solve
+
+        verdicts = set()
+        for kind, m, b in self.oracle_population():
+            target = 1e-10 * (1.0 + np.max(np.abs(b)))
+            gate = 1.0 / np.linalg.cond(m, 1) >= RCOND_MIN
+            verdicts.add((kind, bool(gate), _gate_proven(m)))
+            try:
+                x = solve_linear(m, b, target)
+            except SingularSystem:
+                assert not gate, kind
+                continue
+            assert gate, kind
+            assert np.max(np.abs(b - m @ x)) <= target
+            if not kind.startswith("near"):
+                ref = solve(m, b)
+                assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref)), kind
+        # (kind, exact gate, proof): near the cut the proof holds on some of the definite
+        # members that pass the gate, and on no member anywhere that fails it
+        assert verdicts == {
+            ("definite", True, True),
+            ("indefinite", True, False),
+            ("near-singular", False, False),
+            ("near-singular definite", False, False),
+            ("near the cut", True, False),
+            ("near the cut", False, False),
+            ("near the cut definite", True, True),
+            ("near the cut definite", True, False),
+            ("near the cut definite", False, False),
+        }
+
+    def test_proof_replaces_the_inverse(self, monkeypatch):
+        calls = {"inv": 0, "solve": 0}
+        for name in calls:
+            def counting(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+
+        def count(m, target=1e-10):
+            calls.update(inv=0, solve=0)
+            with contextlib.suppress(SingularSystem):
+                solve_linear(m, np.ones(m.shape[-1]), target)
+            return calls["inv"], calls["solve"]
+
+        rng = np.random.default_rng(5)
+        n = PROOF_MIN_N
+        monotone = np.eye(n) + rng.normal(size=(n, n)) * (0.3 / np.sqrt(n))
+        assert count(monotone) == (0, 1)
+        assert count(-monotone) == (1, 0)  # no proof: the inverse decides
+        assert count(monotone, target=-1.0) == (1, 1)  # proof, but the target is missed
+        assert count(monotone[:-1, :-1]) == (1, 0)  # below PROOF_MIN_N
+        assert count(1e300 * monotone) == count(1e-300 * monotone) == (0, 1)  # scale-free
+        assert count(np.stack([monotone, -monotone])) == (1, 1)  # each member as alone
+
+    def test_proof_shift_is_sigma_plus_the_rounding_allowance(self):
+        # U = diag(1, ..., 1, t): ||U||_1 = 1, and Cholesky of a diagonal is exact, so the
+        # proof holds exactly when t exceeds sigma + 2n^2 eps
+        n = PROOF_MIN_N
+        shift = np.sqrt(n) * RCOND_MIN + 2.0 * n * n * np.finfo(float).eps
+        for t, proven in ((np.sqrt(n) * RCOND_MIN, False), (0.99 * shift, False),
+                          (1.01 * shift, True)):
+            m = np.eye(n)
+            m[-1, -1] = t
+            assert _gate_proven(m) is proven
+            assert _gate_proven(-m) is False
 
     def test_stack_member_with_an_overflowing_inverse_warns_nothing(self):
         # the second row is subnormal: LU succeeds, the inverse holds inf
