@@ -12,7 +12,7 @@ RCOND_MIN and one LU solve gives x; otherwise, and below PROOF_MIN_N players, on
 inverse gives the gate, the solution and every refinement step.  On the
 nonnegative orthant (or a box) the solution concept is the variational
 inequality VI(X, F), a linear complementarity problem; ``solve_vi`` solves it
-by least-index principal pivoting, one ``solve_linear`` per pivot.  A custom
+by least-index principal pivoting up to a solved basis with no violator.  A custom
 public-goods equilibrium is a fixed-point iteration.
 """
 
@@ -210,18 +210,18 @@ def solve_vi(
     X is [0, inf)^n, or [0, ub] when the game carries an upper bound;
     F(x) = Mx - a with M = I+G (``which="ne"``) or I+G+G^T (``"social"``), so
     the VI is the (box) LCP(M, -a).  Each player is at 0, free, or at ub,
-    starting from the basis implied by ``x0`` (default: the origin).  Each
-    iteration checks the current point; otherwise the lowest-indexed violator
-    flips (a free player outside [0, ub] goes to the bound it crossed, one at
-    0 with F_i < 0 or at ub with F_i > 0 becomes free) and one solve_linear
-    gives the free players' ``x_F = M_FF^-1 (a_F - M_FB x_B)``.  A P-matrix M
-    gives a unique solution for every a (Cottle, Pang & Stone 1992, Thm
-    3.3.7), reached on the orthant without revisiting a basis (Murty 1974).
+    starting from the basis implied by ``x0`` (default: the origin).  Until a
+    basis point (bounds held, ``x_F = M_FF^-1 (a_F - M_FB x_B)`` by one
+    solve_linear) has no violator, the lowest-indexed one flips: a free player
+    beyond tol*(1+||a||) outside [0, ub] goes to the bound it crossed, one at 0
+    with F_i < 0 or at ub with F_i > 0 becomes free.  A P-matrix M gives a
+    unique solution for every a (Cottle, Pang & Stone 1992, Thm 3.3.7), reached
+    on the orthant without revisiting a basis (Murty 1974).
 
-    On success x is in X, the natural and complementarity residuals are
-    <= tol, and on the orthant F(x) >= -tol.  Raises StepSelectionFailed
-    when a basis recurs or a free block is singular (neither happens on the
-    orthant for a P-matrix) and MaxItersExceeded after ``max_iters`` solves.
+    On success x is that point clipped into X: F_i >= 0 at 0, F_i <= 0 at ub,
+    |F_i| <= tol*(1+||a_F - M_FB x_B||) when free, and (s*a, s*ub, s*x0) gives
+    s*x for s > 0.  StepSelectionFailed: a basis recurs or a free block is singular
+    (never on the orthant for a P-matrix); MaxItersExceeded: ``max_iters`` solves.
     """
     if not isinstance(game, NetworkGame):
         raise ValueError(f"solve_vi expects a NetworkGame, got {type(game).__name__}")
@@ -232,32 +232,32 @@ def solve_vi(
     hi = np.inf if ub is None else ub
     x = np.clip(np.zeros(game.n) if x0 is None else profile_vector(x0, game.n), 0.0, ub)
     state = np.where(x <= 0.0, _AT_ZERO, np.where(x >= hi, _AT_UB, _FREE)).astype(np.int8)
+    solved = not np.any(state == _FREE)  # a start with free players must solve them first
+    slack = tol * (1.0 + _norm_inf(a))  # a free player beyond this outside X leaves
     visited = set()
     for _ in range(max_iters):
         f = m @ x - a
-        res, comp = _vi_residual(x, f, ub)
-        if res <= tol and comp <= tol and (ub is not None or np.min(f) >= -tol):
-            x = np.clip(x, 0.0, ub)  # a free player may sit a rounding error outside X
-            return _result(x, f"constrained-{which}", *_vi_residual(x, m @ x - a, ub))
-        # a free player leaves only beyond tol, so rounding at a degenerate solution
-        # (x_i = F_i = 0) cannot send it back and forth
-        free = state == _FREE
         violators = np.flatnonzero(
-            free & ((x < -tol) | (x > hi + tol))
+            (state == _FREE) & ((x < -slack) | (x > hi + slack))
             | (state == _AT_ZERO) & (f < 0.0)
             | (state == _AT_UB) & (f > 0.0)
         )
+        if (solved or visited) and not violators.size:
+            x = np.clip(x, 0.0, ub)  # a free player may sit a rounding error outside X
+            return _result(x, f"constrained-{which}", *_vi_residual(x, m @ x - a, ub))
         if violators.size:
             i = violators[0]
-            state[i] = _FREE if not free[i] else _AT_ZERO if x[i] < 0.0 else _AT_UB
+            state[i] = _FREE if state[i] != _FREE else _AT_ZERO if x[i] < 0.0 else _AT_UB
         if state.tobytes() in visited:
+            res = _vi_residual(x, f, ub)[0]
             raise StepSelectionFailed(f"pivoting revisited a basis (residual {res:.3e})")
         visited.add(state.tobytes())
         x = np.where(state == _AT_UB, hi, 0.0)
         fr = np.flatnonzero(state == _FREE)
         if fr.size:
+            rhs = a[fr] - m[fr] @ x
             try:
-                x[fr] = solve_linear(m[np.ix_(fr, fr)], a[fr] - m[fr] @ x, tol)
+                x[fr] = solve_linear(m[np.ix_(fr, fr)], rhs, tol * (1.0 + _norm_inf(rhs)))
             except SingularSystem as exc:
                 raise StepSelectionFailed(f"pivoting hit a singular free block: {exc}") from exc
     res, comp = _vi_residual(x, m @ x - a, ub)

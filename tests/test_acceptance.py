@@ -323,9 +323,13 @@ def test_criterion_8_individual_rationality():
 
     worst_cost = -np.inf
     for game, eq in population:
-        rep = ir_check(game, eq)  # raises if the interior -x^2/2 identity fails at 1e-9
-        worst_cost = max(worst_cost, max(p.cost_at_eq for p in rep.players))
+        rep = ir_check(game, eq)
+        costs = np.array([p.cost_at_eq for p in rep.players])
+        worst_cost = max(worst_cost, costs.max())
         assert rep.all_rational
+        x, ub = eq.x.x, getattr(game, "upper_bound", None)
+        if eq.interior and (ub is None or np.all(x < ub - 1e-8)):  # no bound binds
+            np.testing.assert_allclose(costs, -0.5 * x**2, rtol=0, atol=1e-9)
     ok = len(population) >= 30 and worst_cost <= 1e-9
     report(
         8,

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from lcp_oracle import box_lcp_solutions
 
 import netgames
 from netgames.cli import main
@@ -31,6 +32,11 @@ PG_GAME = {
     "gamma": {"c": [0.5, 1.0, 0.25], "d": [0.25, -0.5, 0.75]},
 }
 SOLVE_GOLDEN = json.loads((GOLDEN / "solve_outputs.json").read_text())
+# a in the thousands: the constrained solver and ir-check judge a game relative to its data
+LARGE_A_GAMES = [
+    {"n": 3, "g": [[0, -0.1, 0.3], [-0.1, 0, 0], [-0.2, 0.1, 0]], "a": [11000, 4000, -3000]},
+    {"n": 3, "g": [[0, 0.2, 0], [-0.2, 0, 0], [-0.2, 0.1, 0]], "a": [11000, 13000, 11000]},
+]
 README_PATTERN = {"n": 4, "g": [[0, 0, 1, 1], [0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]]}
 
 
@@ -104,6 +110,14 @@ class TestSolve:
         f = x + g @ x - a
         assert np.min(x) >= 0.0
         assert max(np.max(np.abs(x - np.maximum(x - f, 0.0))), np.max(np.abs(x * f))) <= 1e-9
+
+    @pytest.mark.parametrize("doc", LARGE_A_GAMES)
+    def test_constrained_large_a(self, game_file, capsys, doc):
+        code, out, _ = run_cli(capsys, "solve", "--game", game_file(doc), "--constrained")
+        assert code == 0
+        g, a = np.array(doc["g"], dtype=float), np.array(doc["a"], dtype=float)
+        (expected,) = box_lcp_solutions(np.eye(3) + g, a)
+        assert np.max(np.abs(np.array(json.loads(out)["x"]) - expected)) <= 1e-8 * (1 + max(a))
 
     def test_no_convergence_exit_5(self, game_file, capsys):
         # LCP(I+G, -a) without a solution: each of its 4 bases violates a sign
@@ -438,6 +452,12 @@ class TestIrCheck:
         doc = json.loads(out)
         assert doc["all_rational"] is True
         assert [p["cost_at_eq"] for p in doc["players"]] == [-0.5, -0.5]
+
+    @pytest.mark.parametrize("doc", LARGE_A_GAMES)
+    def test_large_a_exit_0(self, game_file, capsys, doc):
+        code, out, _ = run_cli(capsys, "ir-check", "--game", game_file(doc))
+        assert code == 0
+        assert json.loads(out)["all_rational"] is True
 
     def test_boundary_game_uses_constrained_solver(self, game_file, capsys):
         path = game_file({"n": 2, "g": [[0, 2.0], [0, 0]], "a": [1.0, 1.0]})

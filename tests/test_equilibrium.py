@@ -494,6 +494,36 @@ class TestSolveVi:
             assert np.max(np.abs(expected - eq.x.x)) <= 1e-8
 
 
+@pytest.fixture(scope="module")
+def scalable_p_games():
+    """Seeded P-matrix games, orthant and box, ne and social, each with its oracle solution."""
+    rng = np.random.default_rng(19)
+    games = []
+    while len(games) < 24:
+        n = int(rng.integers(2, 6))
+        g = rng.normal(size=(n, n)) * rng.uniform(0.3, 2.0) / np.sqrt(n)
+        np.fill_diagonal(g, 0.0)
+        a = rng.uniform(-1.0, 2.0, n)
+        ub = rng.uniform(0.5, 2.0, n) if len(games) % 2 else None
+        which = ("ne", "social")[len(games) // 2 % 2]
+        m = np.eye(n) + g + (g.T if which == "social" else 0.0)
+        if p_matrix_check(m):
+            (x,) = box_lcp_solutions(m, a, ub)
+            games.append((g, a, ub, which, rng.uniform(0.0, 2.0, n), x))
+    return games
+
+
+@pytest.mark.parametrize("k", range(-6, 9))
+def test_p_matrix_solution_scales_with_the_data(scalable_p_games, k):
+    # LCP(M, -a) is positively homogeneous: (s*a, s*ub, s*x0) is solved by s*x
+    s = 10.0**k
+    for g, a, ub, which, x0, x in scalable_p_games:
+        game = NetworkGame(AdjacencyMatrix(g), s * a, None if ub is None else s * ub)
+        for start in (None, s * x0):
+            eq = solve_vi(game, which=which, x0=start)
+            assert np.max(np.abs(eq.x.x - s * x)) <= 1e-8 * (1.0 + s * np.max(np.abs(a)))
+
+
 class TestSolveNePg:
     def test_constant_gamma_reduction(self):
         rng = np.random.default_rng(59)

@@ -278,6 +278,16 @@ class TestSweep:
             assert len(expected) >= 1
             assert np.max(np.abs(expected - x)) <= 1e-8
 
+    def test_constrained_sweep_scales_with_a(self):
+        # every row of the README sweep at a x 1e4 solves, at 1e4 times the x at a
+        config = four_node_config(solver="constrained")
+        base = config.base_game
+        scaled = SweepConfig(lq(base.adjacency.g, 1e4 * base.a), PATTERN4, config.delta_grid,
+                             solver="constrained")
+        for row, ref in zip(sweep(scaled).rows, sweep(config).rows):
+            assert row.status == "ok"
+            assert np.max(np.abs(row.x_star - 1e4 * ref.x_star)) <= 1e-8 * (1.0 + 1e4 * max(base.a))
+
     def test_config_validation(self):
         game = four_player_symmetric_example()
         with pytest.raises(ValueError):
