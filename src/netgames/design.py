@@ -414,12 +414,10 @@ class PgCoincidenceCheck:
 
 
 def pg_coincidence(game, tol: float = DESIGN_TOL) -> PgCoincidenceCheck:
-    """Public-goods coincidence test: (V G^T) x = 0 at the affine NE.
+    """Public-goods coincidence test: (V G^T) x = 0 at the NE.
 
     V = diag(1 - d); when every d_i != 1 this is equivalent to G^T x = 0.
     """
-    if not game.gamma.is_affine:
-        raise ValueError("pg_coincidence requires an affine gamma family")
     x = solve_ne_pg(game, tol=min(tol, 1e-10)).x.x
     residual = _norm_inf((1.0 - game.gamma.d) * (game.adjacency.g.T @ x))
     return PgCoincidenceCheck(holds=residual <= tol, x=ActionProfile(x), residual=residual)

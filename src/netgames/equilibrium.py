@@ -3,7 +3,7 @@
 Every solver reads its first-order map ``F(x) = Mx - b`` from
 ``games._system``: ``(I+G, a)`` for the Nash equilibrium, ``(I+G+G^T, a)``
 for the social optimum, and ``(I + diag(1-d) S, c + d*theta)`` with S = G or
-G+G^T for their affine public-goods analogues.  Interior solutions solve
+G+G^T for their public-goods analogues.  Interior solutions solve
 ``Mx = b`` in ``solve_linear`` behind an exact 1-norm rcond gate.  Strong
 monotonicity, the VI's uniqueness condition, proves that gate: if the symmetric part of
 U = M/max|M| less (sigma + 2n^2 eps) I has a floating-point Cholesky factor (Rump, BIT
@@ -12,8 +12,7 @@ RCOND_MIN and one LU solve gives x; otherwise, and below PROOF_MIN_N players, on
 inverse gives the gate, the solution and every refinement step.  On the
 nonnegative orthant (or a box) the solution concept is the variational
 inequality VI(X, F), a linear complementarity problem; ``solve_vi`` solves it
-by least-index principal pivoting up to a solved basis with no violator.  A custom
-public-goods equilibrium is a fixed-point iteration.
+by least-index principal pivoting up to a solved basis with no violator.
 """
 
 from __future__ import annotations
@@ -23,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    MaxItersExceeded,
-    NoConvergence,
-    SingularSystem,
-    StepSelectionFailed,
-)
+from .errors import MaxItersExceeded, SingularSystem, StepSelectionFailed
 from .games import (
     TOL_NONNEG,
     ActionProfile,
@@ -101,8 +95,13 @@ def _inverse(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for k in np.ndindex(m.shape[:-2]):
             with contextlib.suppress(np.linalg.LinAlgError):
                 inv[k] = np.linalg.inv(m[k])
-    # no product ||M|| ||M^-1||, which overflows where rcond is only tiny: ||M^-1|| >= 1/||M||
-    rcond = 1.0 / np.abs(inv).sum(axis=-2).max(axis=-1) / np.abs(m).sum(axis=-2).max(axis=-1)
+    # ||M||_1 = s ||M/s||_1 with s = max|M| per member (floored at the least normal double),
+    # so no column sum overflows; no product ||M|| ||M^-1||, which overflows where rcond is
+    # only tiny: ||M^-1|| >= 1/||M||
+    am = np.abs(m)
+    s = am.max(axis=(-2, -1), initial=np.finfo(float).tiny)
+    norm = (am / s[..., None, None]).sum(axis=-2).max(axis=-1)
+    rcond = 1.0 / np.abs(inv).sum(axis=-2).max(axis=-1) / s / norm
     if m.ndim == 2 and not rcond >= RCOND_MIN:  # a non-finite inverse gives rcond 0 or nan
         raise SingularSystem(f"system is numerically singular (rcond = {rcond:.2e})")
     return inv, rcond
@@ -113,8 +112,8 @@ def _gate_proven(m: np.ndarray) -> bool:
     n, scale = m.shape[-1], max(m.max(), -m.min())  # max|M|
     if not 0.0 < scale < np.inf:
         return False
-    sigma = np.sqrt(n) * np.abs(m).sum(axis=0).max() / scale * RCOND_MIN
-    u = m / scale  # U, scaled before the sum so that no entry can overflow
+    u = m / scale  # U, scaled before any sum so that none can overflow
+    sigma = np.sqrt(n) * np.abs(u).sum(axis=0).max() * RCOND_MIN
     u += u.T  # twice the symmetric part, so the shift is doubled too
     u.flat[:: n + 1] -= 2.0 * (sigma + 2.0 * n * n * np.finfo(float).eps)
     with contextlib.suppress(np.linalg.LinAlgError):
@@ -176,6 +175,8 @@ def _result(x, kind, stationarity, complementarity=0.0) -> EquilibriumResult:
 
 def _solve_system(game, which: str, kind: str, tol: float = DEFAULT_TOL) -> EquilibriumResult:
     """Solve ``Mx = b`` for the ``(M, b)`` of ``_system(game, which)``."""
+    if kind.startswith("pg-") != isinstance(game, PublicGoodsGame):
+        raise ValueError(f"a {kind} solve cannot take a {type(game).__name__}")
     m, b = _system(game, which)
     x = solve_linear(m, b, tol * (1.0 + _norm_inf(b)))
     return _result(x, kind, _norm_inf(m @ x - b))
@@ -270,43 +271,19 @@ def solve_vi(
     )
 
 
-def _pg_ne_residual(game: PublicGoodsGame, x: np.ndarray) -> float:
-    g = game.adjacency.g
-    z = g @ x
-    return _norm_inf(x + z - game.gamma.value(game.theta + z))
-
-
-def solve_ne_pg(
-    game: PublicGoodsGame,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> EquilibriumResult:
+def solve_ne_pg(game: PublicGoodsGame, tol: float = DEFAULT_TOL) -> EquilibriumResult:
     """Public-goods Nash equilibrium (I+G)x = gamma(theta + Gx).
 
-    Affine families are solved exactly as the linear system
-    ``(I + (I - diag(d)) G) x = c + d*theta``; custom families iterate
-    ``x <- (I+G)^{-1} gamma(theta + Gx)`` to the requested residual.
+    Solves the linear system ``(I + V G) x = c + d*theta`` with V = diag(1 - d),
+    built as a row scale.
     """
-    if game.gamma.is_affine:
-        return _solve_system(game, "ne", "pg-ne", tol)
-    g = game.adjacency.g
-    inv, _ = _inverse(np.eye(game.n) + g)
-    x = np.zeros(game.n)
-    for _ in range(max_iters):
-        if _pg_ne_residual(game, x) <= tol:
-            return _result(x, "pg-ne", _pg_ne_residual(game, x))
-        x = inv @ game.gamma.value(game.theta + g @ x)
-    raise NoConvergence(
-        f"fixed-point iteration did not reach tol={tol:g} "
-        f"in {max_iters} iterations (residual {_pg_ne_residual(game, x):.3e})"
-    )
+    return _solve_system(game, "ne", "pg-ne", tol)
 
 
 def solve_social_pg(game: PublicGoodsGame, tol: float = DEFAULT_TOL) -> EquilibriumResult:
-    """Public-goods social optimum for affine gamma.
+    """Public-goods social optimum.
 
     Solves ``(I + V (G + G^T)) y = c + d*theta`` with V = diag(1 - d), built
-    as a row scale.  Custom families raise ValueError: the transpose-term
-    weights depend on the derivative at the unknown solution.
+    as a row scale.
     """
     return _solve_system(game, "social", "pg-social", tol)

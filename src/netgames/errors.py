@@ -9,10 +9,6 @@ class DimensionMismatch(NetgamesError):
     """Raised when vector or matrix shapes are inconsistent with the game."""
 
 
-class GammaEvaluationError(NetgamesError):
-    """Raised when a caller-supplied demand function fails to evaluate."""
-
-
 class SingularSystem(NetgamesError):
     """Raised when a linear system is singular beyond tolerance."""
 

@@ -118,8 +118,6 @@ def game_document(game) -> dict:
     """In-memory document for a game, suitable for json.dump."""
     doc = {"n": game.n, "g": game.adjacency.g.tolist()}
     if isinstance(game, PublicGoodsGame):
-        if not game.gamma.is_affine:
-            raise GameFileError("only affine gamma families are serializable", field="gamma")
         doc["a"] = game.gamma.c.tolist()
         doc["theta"] = game.theta.tolist()
         doc["gamma"] = {"c": game.gamma.c.tolist(), "d": game.gamma.d.tolist()}

@@ -2,23 +2,22 @@
 
 Linear-quadratic network games: player i pays ``0.5*x_i**2 + (z_i - a_i)*x_i``
 with neighbor aggregate ``z = G @ x``.  The public-goods variant replaces the
-standalone benefit ``a_i`` by a demand function ``gamma_i(theta_i + z_i)``.
-Player indices in the public API are 1-based.
+standalone benefit ``a_i`` by the affine demand ``gamma_i(theta_i + z_i)``, with
+``gamma_i(w) = c_i + d_i*w``.  Player indices in the public API are 1-based.
 
 Each solution concept is a variational inequality on ``F(x) = Mx - b``, and
 ``_system`` alone builds ``(M, b)``: ``(I+G, a)`` for the LQ equilibrium,
 ``(I+G+G^T, a)`` for the LQ optimum, and ``(I + diag(1-d) S, c + d*theta)``
-with S = G or G+G^T for the affine public-goods equilibrium and optimum.
+with S = G or G+G^T for the public-goods equilibrium and optimum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, GammaEvaluationError
+from .errors import DimensionMismatch
 
 # Slack allowed on nonnegativity of solver-produced actions (solver-noise scale).
 TOL_NONNEG = 1e-9
@@ -122,80 +121,37 @@ def profile_vector(x, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GammaFamily:
-    """Per-player demand functions for the public-goods variant.
+    """Affine per-player demand ``gamma_i(w) = c_i + d_i * w`` of the public-goods variant.
 
-    The affine family is ``gamma_i(w) = c_i + d_i * w``.  Custom members
-    supply ``value_fn(i, w)`` and ``deriv_fn(i, w)`` with 1-based player i.
+    Demand linear in the aggregate gives linear best replies, as in the public-goods
+    model of Bramoulle, Kranton & D'Amours (AER 2014).
     """
 
-    kind: str
-    c: np.ndarray | None = None
-    d: np.ndarray | None = None
-    value_fn: Callable[[int, float], float] | None = None
-    deriv_fn: Callable[[int, float], float] | None = None
+    c: np.ndarray
+    d: np.ndarray
 
     def __post_init__(self):
-        if self.kind == "affine":
-            if self.c is None or self.d is None:
-                raise ValueError("affine gamma requires c and d vectors")
-            c = np.array(self.c, dtype=float)
-            d = np.array(self.d, dtype=float)
-            if c.shape != d.shape or c.ndim != 1:
-                raise DimensionMismatch("gamma c and d must be vectors of equal length")
-            if not (np.all(np.isfinite(c)) and np.all(np.isfinite(d))):
-                raise ValueError("gamma coefficients must be finite")
-            c.setflags(write=False)
-            d.setflags(write=False)
-            object.__setattr__(self, "c", c)
-            object.__setattr__(self, "d", d)
-        elif self.kind == "custom":
-            if self.value_fn is None or self.deriv_fn is None:
-                raise ValueError("custom gamma requires value_fn and deriv_fn")
-        else:
-            raise ValueError(f"unknown gamma kind {self.kind!r}")
+        c = np.array(self.c, dtype=float)
+        d = np.array(self.d, dtype=float)
+        if c.shape != d.shape or c.ndim != 1:
+            raise DimensionMismatch("gamma c and d must be vectors of equal length")
+        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(d))):
+            raise ValueError("gamma coefficients must be finite")
+        c.setflags(write=False)
+        d.setflags(write=False)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     @staticmethod
     def affine(c, d) -> "GammaFamily":
-        return GammaFamily(kind="affine", c=c, d=d)
-
-    @staticmethod
-    def custom(value_fn, deriv_fn) -> "GammaFamily":
-        return GammaFamily(kind="custom", value_fn=value_fn, deriv_fn=deriv_fn)
-
-    @property
-    def is_affine(self) -> bool:
-        return self.kind == "affine"
+        return GammaFamily(c, d)
 
     def value(self, w) -> np.ndarray:
         """Componentwise gamma_i(w_i)."""
         w = np.asarray(w, dtype=float)
-        if self.is_affine:
-            if w.shape != self.c.shape:
-                raise DimensionMismatch("gamma argument length mismatch")
-            return self.c + self.d * w
-        return self._call_custom(self.value_fn, w, "value")
-
-    def derivative(self, w) -> np.ndarray:
-        """Componentwise gamma_i'(w_i); exactly d for the affine family."""
-        w = np.asarray(w, dtype=float)
-        if self.is_affine:
-            if w.shape != self.c.shape:
-                raise DimensionMismatch("gamma argument length mismatch")
-            return np.array(self.d, dtype=float)
-        return self._call_custom(self.deriv_fn, w, "derivative")
-
-    def _call_custom(self, fn, w, what) -> np.ndarray:
-        out = np.empty_like(w)
-        for k, wk in enumerate(w):
-            try:
-                out[k] = float(fn(k + 1, float(wk)))
-            except Exception as exc:
-                raise GammaEvaluationError(
-                    f"gamma {what} failed for player {k + 1} at w={wk!r}: {exc}"
-                ) from exc
-        if not np.all(np.isfinite(out)):
-            raise GammaEvaluationError(f"gamma {what} returned non-finite values")
-        return out
+        if w.shape != self.c.shape:
+            raise DimensionMismatch("gamma argument length mismatch")
+        return self.c + self.d * w
 
 
 @dataclass(frozen=True)
@@ -210,7 +166,7 @@ class PublicGoodsGame:
         theta = _as_vector(self.theta, self.adjacency.n, "theta")
         theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
-        if self.gamma.is_affine and self.gamma.c.shape != (self.adjacency.n,):
+        if self.gamma.c.shape != (self.adjacency.n,):
             raise DimensionMismatch("gamma coefficient length must equal player count")
 
     @property
@@ -222,7 +178,7 @@ def _system(game, which: str) -> tuple[np.ndarray, np.ndarray]:
     """``(M, b)`` of ``F(x) = Mx - b`` for ``which`` = "ne" (S = G) or "social" (S = G+G^T).
 
     M = I + S, b = a for an LQ game; M = I + diag(1-d) S, b = c + d*theta for
-    an affine public-goods game.  Raises ValueError for a custom gamma.
+    a public-goods game.
     """
     if which not in ("ne", "social"):
         raise ValueError(f"which must be 'ne' or 'social', got {which!r}")
@@ -230,8 +186,6 @@ def _system(game, which: str) -> tuple[np.ndarray, np.ndarray]:
     s = g + g.T if which == "social" else g
     if not isinstance(game, PublicGoodsGame):
         return np.eye(game.n) + s, game.a
-    if not game.gamma.is_affine:
-        raise ValueError("an affine first-order map requires an affine gamma family")
     d = game.gamma.d
     return np.eye(game.n) + (1.0 - d)[:, None] * s, game.gamma.c + d * game.theta
 

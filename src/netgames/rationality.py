@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import NotAnEquilibrium
 from .games import NetworkGame, PublicGoodsGame, _costs, _system
 from .equilibrium import CONSTRAINED_KINDS, INTERIOR_KINDS, NE_KINDS, PG_KINDS, EquilibriumResult
-from .equilibrium import _norm_inf, _pg_ne_residual, _vi_residual
+from .equilibrium import _norm_inf, _vi_residual
 
 IR_TOL = 1e-9
 
@@ -40,9 +40,6 @@ def _residual_for(game, eq: EquilibriumResult) -> tuple[float, float]:
     x = eq.x.x
     if eq.kind not in INTERIOR_KINDS + CONSTRAINED_KINDS + PG_KINDS:
         raise ValueError(f"unknown equilibrium kind {eq.kind!r}")
-    if eq.kind == "pg-ne" and not game.gamma.is_affine:
-        b = game.gamma.value(game.theta + game.adjacency.g @ x)  # F(x) = (I+G)x - b
-        return _pg_ne_residual(game, x), _norm_inf(b)
     m, b = _system(game, "ne" if eq.kind in NE_KINDS else "social")
     if eq.kind in CONSTRAINED_KINDS:
         return _vi_residual(x, m @ x - b, game.upper_bound)[0], _norm_inf(b)

@@ -381,6 +381,25 @@ class TestSolveLinear:
         assert ok.tolist() == [True, False]
         np.testing.assert_array_equal(x[0], [1.0, 1.0])
 
+    def test_entries_near_the_largest_double_warn_nothing(self):
+        # rcond_1 = 0.25 for both, though the column sums of |M| overflow; the second takes
+        # the proven path
+        small = 1e308 * np.array([[1.0, 0.0], [1.0, 1.0]])
+        large = 1e308 * np.eye(PROOF_MIN_N + 6)
+        large[0, 1] = 1e308
+        stack = np.stack([np.eye(2), small])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _gate_proven(large)
+            for m in (small, large):
+                b = np.ones(m.shape[-1])
+                assert np.max(np.abs(b - m @ solve_linear(m, b, 1e-10))) <= 1e-10
+                assert _inverse(m)[1] == 0.25
+            x, ok = solve_linear(stack, np.ones(2), 1e-10)
+            _, rcond = _inverse(stack)
+        assert ok.all() and x[1].tobytes() == solve_linear(small, np.ones(2), 1e-10).tobytes()
+        assert rcond.tolist() == [1.0, 0.25]
+
 
 class TestSolveVi:
     def test_public_goods_game_is_a_typed_error(self):
@@ -563,28 +582,6 @@ class TestSolveNePg:
         np.testing.assert_allclose(eq.x.x, x_oracle, rtol=0, atol=1e-12)
         np.testing.assert_allclose(eq.x.x, [0.904522613065, 0.954773869347], rtol=0, atol=1e-10)
 
-    def test_custom_gamma_iteration(self):
-        g = np.array([[0.0, 0.2], [0.1, 0.0]])
-        pg_affine = PublicGoodsGame(
-            AdjacencyMatrix(g),
-            np.array([1.0, 2.0]),
-            GammaFamily.affine(np.array([1.0, 0.5]), np.array([0.3, 0.4])),
-        )
-        pg_custom = PublicGoodsGame(
-            AdjacencyMatrix(g),
-            np.array([1.0, 2.0]),
-            GammaFamily.custom(
-                value_fn=lambda i, w: (1.0 if i == 1 else 0.5) + (0.3 if i == 1 else 0.4) * w,
-                deriv_fn=lambda i, w: 0.3 if i == 1 else 0.4,
-            ),
-        )
-        np.testing.assert_allclose(
-            solve_ne_pg(pg_custom, tol=1e-12).x.x,
-            solve_ne_pg(pg_affine).x.x,
-            rtol=0,
-            atol=1e-10,
-        )
-
 
 class TestSolveSocialPg:
     def test_constant_gamma_reduction(self):
@@ -616,11 +613,11 @@ class TestSolveSocialPg:
             solve_social_pg(pg).x.x, solve_ne_pg(pg).x.x, rtol=0, atol=1e-12
         )
 
-    def test_rejects_custom_gamma(self):
-        pg = PublicGoodsGame(
-            AdjacencyMatrix(np.zeros((1, 1))),
-            np.array([0.0]),
-            GammaFamily.custom(value_fn=lambda i, w: 1.0, deriv_fn=lambda i, w: 0.0),
-        )
-        with pytest.raises(ValueError):
-            solve_social_pg(pg)
+    def test_game_of_the_other_kind_is_a_typed_error(self):
+        game = lq(np.zeros((2, 2)), np.ones(2))
+        pg = PublicGoodsGame(AdjacencyMatrix(np.zeros((2, 2))), np.zeros(2),
+                             GammaFamily.affine(np.ones(2), np.zeros(2)))
+        for solve, other in ((solve_ne_pg, game), (solve_social_pg, game),
+                             (solve_ne_interior, pg), (solve_social_interior, pg)):
+            with pytest.raises(ValueError, match="cannot take"):
+                solve(other)

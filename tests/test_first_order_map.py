@@ -1,8 +1,7 @@
 """One first-order map per solution concept: ``games._system`` and its readers.
 
-``population`` is a seeded set of LQ games (some boxed) and affine and
-custom public-goods games with n <= 12, small enough in norm that every
-solver succeeds on it.
+``population`` is a seeded set of LQ games (some boxed) and public-goods
+games with n <= 12, small enough in norm that every solver succeeds on it.
 """
 
 import numpy as np
@@ -26,7 +25,7 @@ from netgames.rationality import _residual_for
 
 
 def population(count=60, seed=7):
-    """(LQ game, affine public-goods game, custom public-goods game) triples.
+    """(LQ game, public-goods game) pairs.
 
     sigma_max(G) <= 0.3 makes I+G and I+G+G^T positive definite, so every
     constrained problem is a P-matrix LCP; zeroed entries include -0.0.
@@ -43,19 +42,8 @@ def population(count=60, seed=7):
         ub = rng.uniform(0.2, 2.0, n) if k % 3 == 0 else None
         lq = NetworkGame(AdjacencyMatrix(g), rng.uniform(-1.0, 2.0, n), ub)
         theta = rng.uniform(0.0, 1.0, n)
-        c = rng.uniform(-0.5, 1.5, n)
-        affine = PublicGoodsGame(
-            AdjacencyMatrix(g), theta, GammaFamily.affine(c, rng.uniform(-0.5, 0.9, n))
-        )
-        custom = PublicGoodsGame(
-            AdjacencyMatrix(g),
-            theta,
-            GammaFamily.custom(
-                lambda i, w, c=c: c[i - 1] + 0.3 * np.tanh(w),
-                lambda i, w: 0.3 / np.cosh(w) ** 2,
-            ),
-        )
-        out.append((lq, affine, custom))
+        gamma = GammaFamily.affine(rng.uniform(-0.5, 1.5, n), rng.uniform(-0.5, 0.9, n))
+        out.append((lq, PublicGoodsGame(AdjacencyMatrix(g), theta, gamma)))
     return out
 
 
@@ -63,7 +51,7 @@ POPULATION = population()
 
 
 def test_system_equals_each_solvers_former_construction():
-    for lq, pg, _ in POPULATION:
+    for lq, pg in POPULATION:
         g, eye = lq.adjacency.g, np.eye(lq.n)
         m, b = _system(lq, "ne")
         assert np.array_equal(m, eye + g) and np.array_equal(m, eye + g + 0.0)
@@ -78,15 +66,13 @@ def test_system_equals_each_solvers_former_construction():
         assert np.array_equal(m, eye + v[:, None] * (g + g.T)) and np.array_equal(b, pg_b)
 
 
-def test_system_rejects_custom_gamma_and_unknown_concept():
-    lq, _, custom = POPULATION[0]
-    with pytest.raises(ValueError, match="affine"):
-        _system(custom, "ne")
+def test_system_rejects_unknown_concept():
+    lq, _ = POPULATION[0]
     with pytest.raises(ValueError, match="which"):
         _system(lq, "both")
 
 
-def solutions(lq, affine, custom):
+def solutions(lq, pg):
     yield lq, solve_ne_interior(lq)
     yield lq, solve_social_interior(lq)
     yield lq, solve_vi(lq, "ne")
@@ -95,15 +81,14 @@ def solutions(lq, affine, custom):
         orthant = NetworkGame(lq.adjacency, lq.a)
         yield orthant, solve_vi(orthant, "ne")
         yield orthant, solve_vi(orthant, "social")
-    yield affine, solve_ne_pg(affine)
-    yield affine, solve_social_pg(affine)
-    yield custom, solve_ne_pg(custom)
+    yield pg, solve_ne_pg(pg)
+    yield pg, solve_social_pg(pg)
 
 
 def test_revalidation_reproduces_every_solvers_residual_exactly():
     kinds = set()
-    for triple in POPULATION:
-        for game, eq in solutions(*triple):
+    for pair in POPULATION:
+        for game, eq in solutions(*pair):
             assert _residual_for(game, eq)[0] == eq.stationarity_residual, eq.kind
             kinds.add((eq.kind, getattr(game, "upper_bound", None) is not None))
     assert kinds == {

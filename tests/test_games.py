@@ -7,7 +7,6 @@ from netgames import (
     ActionProfile,
     AdjacencyMatrix,
     DimensionMismatch,
-    GammaEvaluationError,
     GammaFamily,
     NetworkGame,
     PublicGoodsGame,
@@ -170,21 +169,35 @@ class TestGamma:
             w = rng.normal(size=6) * 10
             h = 1e-5
             fd = (fam.value(w + h) - fam.value(w - h)) / (2 * h)
-            np.testing.assert_allclose(fam.derivative(w), d, rtol=0, atol=0)
             np.testing.assert_allclose(fd, d, rtol=0, atol=1e-6)
 
-    def test_custom_evaluation_and_failure(self):
-        fam = GammaFamily.custom(
-            value_fn=lambda i, w: 0.5 + 0.25 * w,
-            deriv_fn=lambda i, w: 0.25,
-        )
-        np.testing.assert_allclose(fam.value(np.array([1.0])), [0.75])
-        bad = GammaFamily.custom(
-            value_fn=lambda i, w: 1.0 / (w - w),
-            deriv_fn=lambda i, w: 0.0,
-        )
-        with pytest.raises(GammaEvaluationError):
-            bad.value(np.array([1.0]))
+    def test_rejects_coefficients_that_are_not_equal_length_vectors(self):
+        for c, d in (([1.0, 2.0], [0.5]), ([[1.0, 2.0]], [[0.5, 0.5]]), (1.0, 0.5)):
+            with pytest.raises(DimensionMismatch):
+                GammaFamily.affine(c, d)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_coefficients(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            GammaFamily.affine([1.0, bad], [0.5, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            GammaFamily.affine([1.0, 1.0], [0.5, bad])
+
+    def test_value_and_game_check_the_player_count(self):
+        fam = GammaFamily.affine([1.0, 2.0], [0.5, 0.5])
+        with pytest.raises(DimensionMismatch):
+            fam.value(np.zeros(3))
+        with pytest.raises(DimensionMismatch):
+            PublicGoodsGame(AdjacencyMatrix(np.zeros((3, 3))), np.zeros(3), fam)
+
+    def test_coefficients_are_read_only_copies(self):
+        c, d = np.array([1.0, 2.0]), np.array([0.5, 0.5])
+        fam = GammaFamily.affine(c, d)
+        c[0] = d[0] = 9.0
+        assert fam.c.tolist() == [1.0, 2.0] and fam.d.tolist() == [0.5, 0.5]
+        for v in (fam.c, fam.d):
+            with pytest.raises(ValueError):
+                v[0] = 0.0
 
 
 class TestCostPg:

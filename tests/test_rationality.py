@@ -132,10 +132,7 @@ def test_costs_equal_per_player_cost_functions():
     pg = PublicGoodsGame(
         AdjacencyMatrix(np.array([[0.0, 0.2], [0.1, 0.0]])),
         np.array([1.0, 2.0]),
-        GammaFamily.custom(
-            value_fn=lambda i, w: (1.0 if i == 1 else 0.5) + (0.3 if i == 1 else 0.4) * w,
-            deriv_fn=lambda i, w: 0.3 if i == 1 else 0.4,
-        ),
+        GammaFamily.affine([1.0, 0.5], [0.3, 0.4]),
     )
     eq = solve_ne_pg(pg, tol=1e-12)
     report = ir_check(pg, eq)
