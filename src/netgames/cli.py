@@ -9,6 +9,7 @@ to standard output (or --out PATH) with 12 significant digits.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -276,9 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process; ``build_parser`` makes a fresh one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SingularSystem as exc:

@@ -11,13 +11,14 @@ expansion.  ``symmetric_design`` uses the closed-form construction x* = a, Ga = 
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleDesign, NoSolutionFound, SingularSystem
 from .games import TOL_NONNEG, ActionProfile, AdjacencyMatrix, NetworkGame, _as_vector, _system
-from .equilibrium import _norm_inf, solve_ne_interior, solve_ne_pg, solve_social_interior
+from .equilibrium import DEFAULT_TOL, RCOND_MIN, _norm_inf, _solve, solve_ne_pg
 
 DESIGN_TOL = 1e-8
 RANK_TOL = 1e-10
@@ -125,23 +126,55 @@ def _coincides(game: NetworkGame, x: np.ndarray, tol: float) -> tuple[bool, floa
     return holds, residual_orth
 
 
+def _nash_gate_from_social(m: np.ndarray, social_max: float) -> bool:
+    """Whether S = I+G+G^T, proven positive definite, with max|S| = ``social_max``, proves
+    the rcond gate of M = I+G (see ``check_coincidence``)."""
+    n, eps, scale = m.shape[-1], np.finfo(float).eps, max(m.max(), -m.min())
+    u = np.abs(m / scale)  # U = M/max|M|, scaled before the column sums so none overflows
+    sigma = np.sqrt(n) * u.sum(axis=0).max() * RCOND_MIN
+    return (1.0 - n * eps * social_max) / (2.0 * scale) >= sigma + 4.0 * n * n * eps
+
+
 def check_coincidence(game: NetworkGame, tol: float = DESIGN_TOL) -> CoincidenceCheck:
     """Test whether the interior Nash equilibrium is also the social optimum.
 
-    Holds when ``||G^T x||_inf <= tol*(1+||a||_inf)`` and x is nonnegative.
-    The sup distance to the interior social optimum is recorded whenever
-    ``(I+G+G^T)`` is nonsingular.
+    Holds when ``||G^T x||_inf <= tol*(1+||a||_inf)`` and x is nonnegative; ValueError
+    unless ``0 < tol < inf``.  The sup distance to the interior social optimum is
+    recorded whenever ``(I+G+G^T)`` is nonsingular.  x and that optimum are the ones
+    ``solve_ne_interior`` and ``solve_social_interior`` return, bit for bit.
+
+    The social system S = I+G+G^T is solved first.  Where its gate is proven
+    (``solve_linear``), S is positive definite, and the Nash system M = I+G needs no
+    Cholesky factor of its own: G has a zero diagonal, so sym(M) = (I + S)/2 + E with
+    E_ij = ((g_ij + g_ji) - fl(g_ij + g_ji))/2, |E_ij| <= eps max|S|/4 and ||E||_2 <=
+    n eps max|S|/4.  Hence lambda_min(sym M) >= (1 - n eps max|S|)/2, sigma_min(U) >=
+    lambda_min(sym U) >= (1 - n eps max|S|)/(2 max|M|) for U = M/max|M|, and the one
+    scalar inequality (1 - n eps max|S|)/(2 max|M|) >= sqrt(n) ||U||_1 RCOND_MIN + 4n^2
+    eps proves rcond_1(M) >= RCOND_MIN as the factor would.  The margin 4n^2 eps, twice
+    the factor's rounding allowance, covers the rounding of these scalars and keeps M's
+    own factorization clear of breakdown (Demmel's condition, Higham 2002, sec. 10.1), so
+    both routes reach the same solve.  Otherwise, and for symmetric G from
+    FACTOR_SOLVE_MIN_N on, where M is solved from its own factor, the Nash solve proves
+    its own gate.
     """
-    x = solve_ne_interior(game).x.x
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not isinstance(game, NetworkGame):
+        raise ValueError(f"check_coincidence expects a NetworkGame, got {type(game).__name__}")
+    m, a = _system(game, "social")
+    target = DEFAULT_TOL * (1.0 + _norm_inf(a))  # the target of solve_*_interior
+    y, proven = None, False
+    with contextlib.suppress(SingularSystem):
+        y, proven = _solve(m, a, target)
+    social_max = max(m.max(), -m.min())
+    m = _system(game, "ne")[0]  # S is no longer needed: one n x n system at a time
+    x = _solve(m, a, target, proven and _nash_gate_from_social(m, social_max))[0]
     holds, residual_orth = _coincides(game, x, tol)
-    social_gap = float("nan")
-    try:
-        y = solve_social_interior(game).x.x
-        social_gap = _norm_inf(x - y)
-    except SingularSystem:
-        pass
     return CoincidenceCheck(
-        holds=holds, x=ActionProfile(x), residual_orth=residual_orth, social_gap=social_gap
+        holds=holds,
+        x=ActionProfile(x),
+        residual_orth=residual_orth,
+        social_gap=float("nan") if y is None else _norm_inf(x - y),
     )
 
 

@@ -6,13 +6,18 @@ for the social optimum, and ``(I + diag(1-d) S, c + d*theta)`` with S = G or
 G+G^T for their public-goods analogues.  Interior solutions solve
 ``Mx = b`` in ``solve_linear`` behind an exact 1-norm rcond gate.  Strong
 monotonicity, the VI's uniqueness condition, proves that gate: if the symmetric part of
-U = M/max|M| less (sigma + 2n^2 eps) I has a floating-point Cholesky factor (Rump, BIT
+U = M/max|M| less (sigma + 2n^2 eps) I has a floating-point Cholesky factor L (Rump, BIT
 46, 2006), then sigma_min(U) >= sigma = sqrt(n) ||U||_1 RCOND_MIN, so rcond_1(M) >=
-RCOND_MIN and one LU solve gives x; otherwise, and below PROOF_MIN_N players, one
-inverse gives the gate, the solution and every refinement step.  On the
-nonnegative orthant (or a box) the solution concept is the variational
-inequality VI(X, F), a linear complementarity problem; ``solve_vi`` solves it
-by least-index principal pivoting up to a solved basis with no violator.
+RCOND_MIN.  From FACTOR_SOLVE_MIN_N players on, an exactly symmetric M (every LQ social
+optimum, and the equilibrium of a potential game) is then solved from L itself; any
+other M by one LU solve.  One proof can settle two gates: G has a zero diagonal, so
+sym(I+G) = (I + S)/2 for S = I+G+G^T up to the rounding of G+G^T, at most n eps max|S|/4
+in 2-norm, and a proven S bounds lambda_min(sym(I+G)) >= (1 - n eps max|S|)/2; one scalar
+inequality then proves the Nash gate (``design.check_coincidence``).  Otherwise, and
+below PROOF_MIN_N players, one inverse gives the gate, the solution and every
+refinement step.  On the nonnegative orthant (or a box) the solution concept is the
+variational inequality VI(X, F), a linear complementarity problem; ``solve_vi`` solves
+it by least-index principal pivoting up to a solved basis with no violator.
 """
 
 from __future__ import annotations
@@ -39,6 +44,14 @@ DEFAULT_MAX_ITERS = 100_000
 # sits within a factor n of the same threshold on the 2-norm condition number.
 RCOND_MIN = 1e-12
 PROOF_MIN_N = 64  # solve_linear proves the rcond gate from this size on; below, an inverse is cheaper
+# From this size on an exactly symmetric M is solved from the proof's own Cholesky factor,
+# not by a second (LU) factorization.  Median ms per proven solve of I+G+G^T (3 seeds), 1
+# BLAS thread on a shared 2-vCPU x86-64 machine (OpenBLAS); the two break even near n = 200:
+#   n                       128    160    192    224    256    400    800
+#   proof + LU solve        0.40   0.65   1.14   1.58   2.23   5.87   34.8
+#   proof + factor solve    0.48   0.71   1.16   1.48   1.93   4.54   21.3
+FACTOR_SOLVE_MIN_N = 200
+_SUBST_BLOCK = 32  # diagonal block of the blocked triangular substitution
 
 INTERIOR_KINDS = ("interior-ne", "interior-social")
 CONSTRAINED_KINDS = ("constrained-ne", "constrained-social")
@@ -107,44 +120,116 @@ def _inverse(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inv, rcond
 
 
-def _gate_proven(m: np.ndarray) -> bool:
-    """Whether a Cholesky factor of the shifted symmetric part proves rcond_1(M) >= RCOND_MIN."""
+def _gate_factor(m: np.ndarray, symmetric: bool = False):
+    """``(L, max|M|)`` with L L^T = fl(2U - 2(sigma + 2n^2 eps) I), or None where no L exists.
+
+    Its existence proves rcond_1(M) >= RCOND_MIN (see ``solve_linear``).  ``symmetric``
+    says M = M^T exactly, so U + U^T is 2U, bit for bit.
+    """
     n, scale = m.shape[-1], max(m.max(), -m.min())  # max|M|
     if not 0.0 < scale < np.inf:
-        return False
+        return None
     u = m / scale  # U, scaled before any sum so that none can overflow
     sigma = np.sqrt(n) * np.abs(u).sum(axis=0).max() * RCOND_MIN
-    u += u.T  # twice the symmetric part, so the shift is doubled too
+    if symmetric:
+        u *= 2.0
+    else:
+        u += u.T  # twice the symmetric part, so the shift is doubled too
     u.flat[:: n + 1] -= 2.0 * (sigma + 2.0 * n * n * np.finfo(float).eps)
     with contextlib.suppress(np.linalg.LinAlgError):
-        return np.linalg.cholesky(u) is not None  # the factor exists; it is not kept
-    return False
+        return np.linalg.cholesky(u), scale
+    return None
+
+
+def _gate_proven(m: np.ndarray) -> bool:
+    """Whether a Cholesky factor of the shifted symmetric part proves rcond_1(M) >= RCOND_MIN."""
+    return _gate_factor(m) is not None
+
+
+def _factor_solve(m, factor, b, residual_target):
+    """x from the proof's factor of a symmetric M, or None where refinement misses the target.
+
+    With L L^T = fl(2M/s - 2 tau I), s = max|M|, P = (s/2) L L^T is M - s tau I up to
+    rounding, so x <- x + P^-1 (b - Mx) contracts the error by about tau / (lambda_min(U) -
+    tau) per step.  P^-1 is blocked forward and back substitution, each diagonal block of
+    L inverted once.  After the solve and up to 5 refinement steps, the first x to meet
+    ``residual_target`` takes one more step, kept if it meets the target too.
+    """
+    (l, scale), nb = factor, _SUBST_BLOCK
+    starts = range(0, len(b), nb)
+    diag = [np.linalg.inv(l[k : k + nb, k : k + nb]) for k in starts]
+
+    def step(r):
+        y = r / scale
+        for k, d in zip(starts, diag):  # L y = r/s
+            y[k : k + nb] = d @ (y[k : k + nb] - l[k : k + nb, :k] @ y[:k])
+        for k, d in zip(reversed(starts), reversed(diag)):  # L^T z = y
+            y[k : k + nb] = d.T @ (y[k : k + nb] - l[k + nb :, k : k + nb].T @ y[k + nb :])
+        return 2.0 * y
+
+    x = step(b)
+    for _ in range(6):  # the solve, then up to 5 refinement steps
+        r = b - m @ x
+        if _norm_inf(r) <= residual_target:
+            y = x + step(r)
+            return y if _norm_inf(b - m @ y) <= residual_target else x
+        x = x + step(r)
+    return None
+
+
+def _solve(m: np.ndarray, b: np.ndarray, residual_target: float, proven: bool = False):
+    """``solve_linear`` on one matrix, ``proven`` saying the gate is known to hold.
+
+    Returns x and whether the gate was proven, by a factor here or by the caller.
+    """
+    n = m.shape[-1]
+    if n >= PROOF_MIN_N:
+        # the first row against the first column rejects most non-symmetric M in O(n)
+        if n >= FACTOR_SOLVE_MIN_N and np.array_equal(m[0], m[:, 0]) and np.array_equal(m, m.T):
+            factor = _gate_factor(m, symmetric=True)
+            proven = proven or factor is not None
+            x = None if factor is None else _factor_solve(m, factor, b, residual_target)
+            if x is not None:
+                return x, True
+        elif not proven:
+            proven = _gate_proven(m)
+        if proven:
+            x = np.linalg.solve(m, b)
+            if _norm_inf(b - m @ x) <= residual_target:
+                return x, True
+    return _inverse_solve(m, b, residual_target), proven
 
 
 def solve_linear(m: np.ndarray, b: np.ndarray, residual_target: float):
     """Dense solve of ``Mx = b`` behind the rcond gate of ``_inverse``.
 
     From PROOF_MIN_N players on, the gate is first proven: with U = M/max|M| and
-    sigma = sqrt(n) ||U||_1 RCOND_MIN, a floating-point Cholesky factor of (U+U^T)/2 -
-    (sigma + 2n^2 eps) I proves x^T U x >= sigma ||x||_2^2 for all x (2n^2 eps covers
+    sigma = sqrt(n) ||U||_1 RCOND_MIN, a floating-point Cholesky factor L of U+U^T -
+    2(sigma + 2n^2 eps) I proves x^T U x >= sigma ||x||_2^2 for all x (2n^2 eps covers
     the rounding of U, of the symmetric part and of the factorization: Rump, BIT 46,
-    2006), so sigma_min(U) >= sigma, ||U^-1||_1 <= sqrt(n)/sigma and rcond_1(M) >=
-    RCOND_MIN.  One LU solve then gives x if it meets ``residual_target``.  Otherwise
-    one inverse serves the gate, the solve and up to 5 refinement steps, and
-    SingularSystem is raised where the gate or the target fails.  A stack (..., n, n)
+    2006), so sigma_min(U) >= sigma, ||U^-1||_1 <= sqrt(n) ||U^-1||_2 <= sqrt(n)/sigma
+    and rcond_1(M) = 1/(||U||_1 ||U^-1||_1) >= RCOND_MIN.  From FACTOR_SOLVE_MIN_N on,
+    an exactly symmetric M is then solved from L (``_factor_solve``); any other M, or a
+    symmetric one whose refinement misses ``residual_target``, by one LU solve kept if
+    it meets the target.  Otherwise one inverse serves the gate, the solve and up to 5
+    refinement steps, and SingularSystem is raised where the gate or the target fails.
+    A proof only skips that inverse, so it never changes a verdict.  A stack (..., n, n)
     returns ``(x, ok)``, each member flagged (x nan, ok False) where alone it raises.
     """
-    if m.ndim > 2 and m.shape[-1] >= PROOF_MIN_N:  # a stacked inverse saves only call overhead
-        b = np.broadcast_to(b, m.shape[:-1])
-        x = np.full(b.shape, np.nan)
-        for k in np.ndindex(m.shape[:-2]):
-            with contextlib.suppress(SingularSystem):
-                x[k] = solve_linear(m[k], b[k], residual_target)
-        return x, ~np.isnan(x[..., 0])  # a solved member meets the target, so holds no nan
-    if m.shape[-1] >= PROOF_MIN_N and _gate_proven(m):
-        x = np.linalg.solve(m, b)
-        if _norm_inf(b - m @ x) <= residual_target:
-            return x
+    if m.ndim == 2:
+        return _solve(m, b, residual_target)[0]
+    if m.shape[-1] < PROOF_MIN_N:
+        return _inverse_solve(m, b, residual_target)
+    b = np.broadcast_to(b, m.shape[:-1])  # a stacked inverse would save only call overhead
+    x = np.full(b.shape, np.nan)
+    for k in np.ndindex(m.shape[:-2]):
+        with contextlib.suppress(SingularSystem):
+            x[k] = _solve(m[k], b[k], residual_target)[0]
+    return x, ~np.isnan(x[..., 0])  # a solved member meets the target, so holds no nan
+
+
+def _inverse_solve(m: np.ndarray, b: np.ndarray, residual_target: float):
+    """``solve_linear`` from one inverse and up to 5 refinement steps, for a matrix or a stack."""
     inv, rcond = _inverse(m)
     ok = rcond >= RCOND_MIN
     if m.ndim > 2:

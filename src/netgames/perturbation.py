@@ -42,6 +42,8 @@ class SweepConfig:
     solver: str = "interior"
 
     def __post_init__(self):
+        if not isinstance(self.base_game, NetworkGame):
+            raise ValueError(f"base_game must be a NetworkGame, got {type(self.base_game).__name__}")
         n = self.base_game.n
         pattern = np.array(self.delta_pattern, dtype=float)
         if pattern.shape != (n, n):
@@ -172,9 +174,11 @@ def lipschitz_check(report: SweepReport, k_cap: float) -> LipschitzCheck:
 
     ``bounded`` compares the worst adjacent cost ratio against
     ``k_cap * delta_cap``; the constant in the underlying bound is
-    existential, so k_cap is caller-configured.  Raises InsufficientData
-    with fewer than two feasible rows.
+    existential, so k_cap is caller-configured.  Raises ValueError unless
+    ``0 < k_cap < inf``, and InsufficientData with fewer than two feasible rows.
     """
+    if not 0.0 < k_cap < math.inf:
+        raise ValueError(f"k_cap must be positive and finite, got {k_cap}")
     feasible = np.array([r.feasible for r in report.rows])
     if np.sum(feasible) < 2:
         raise InsufficientData("need at least two feasible rows")

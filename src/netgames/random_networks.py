@@ -9,6 +9,7 @@ sample takes one SVD; it is solved only where no singular-value bound settles co
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -86,6 +87,14 @@ class ErConfig:
             raise ValueError("seed must be nonnegative")
 
 
+@functools.lru_cache(maxsize=8)
+def _upper(n: int) -> np.ndarray:
+    """Read-only mask of the strict upper triangle: row-major, the order of triu_indices(n, 1)."""
+    mask = ~np.tri(n, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
 def _sample_one(config: ErConfig, index: int) -> np.ndarray:
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
@@ -101,7 +110,7 @@ def _sample_one(config: ErConfig, index: int) -> np.ndarray:
     weights = config.weight_law.draw(rng, present.size)
     weights[~present] = 0.0
     g = np.zeros((n, n))
-    g[~np.tri(n, dtype=bool)] = weights  # row-major, the order of triu_indices(n, 1)
+    g[_upper(n)] = weights
     return g + g.T
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotAnEquilibrium
+from .errors import DimensionMismatch, NotAnEquilibrium
 from .games import NetworkGame, PublicGoodsGame, _costs, _system
 from .equilibrium import CONSTRAINED_KINDS, INTERIOR_KINDS, NE_KINDS, PG_KINDS, EquilibriumResult
 from .equilibrium import _norm_inf, _vi_residual
@@ -52,8 +52,11 @@ def ir_check(game, eq: EquilibriumResult, tol: float = 1e-8) -> IrReport:
     Re-validates the equilibrium residual of F(x) = Mx - b (box-aware when the
     game carries an upper bound) and raises NotAnEquilibrium beyond
     ``tol*max(1, ||b||_inf)``.  All costs come from one aggregate ``G @ x`` and
-    equal ``cost_lq``/``cost_pg`` player by player.
+    equal ``cost_lq``/``cost_pg`` player by player.  DimensionMismatch: ``eq`` is a
+    profile for another number of players.
     """
+    if len(eq.x) != game.n:
+        raise DimensionMismatch(f"equilibrium has {len(eq.x)} players, the game {game.n}")
     if isinstance(game, PublicGoodsGame) and eq.kind not in PG_KINDS:
         raise ValueError(f"public-goods game cannot validate kind {eq.kind!r}")
     if isinstance(game, NetworkGame) and eq.kind.startswith("pg-"):

@@ -468,6 +468,18 @@ class TestIrCheck:
         assert doc["all_rational"] is True
 
 
+def test_main_builds_its_parser_once(game_file, capsys):
+    from netgames import cli
+
+    cli._parser.cache_clear()
+    path = game_file({"n": 2, "g": [[0, 0], [0, 0]], "a": [1, 2]})
+    for _ in range(3):
+        assert run_cli(capsys, "solve", "--game", path)[0] == 0
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert cli.build_parser() is not cli.build_parser()  # public: a fresh parser per call
+
+
 def test_runtime_imports_no_scipy():
     # the core is numpy-only: scipy would add start-up time and resident memory
     code = (

@@ -19,11 +19,15 @@ from netgames import (
     necessary_condition_det,
     pg_coincidence,
     potential_check,
+    SingularSystem,
     social_cost,
+    solve_ne_interior,
     solve_social_interior,
     symmetric_design,
 )
-from netgames.design import DISTINCT_TOL, _bilinear_system
+from netgames.design import DISTINCT_TOL, _bilinear_system, _nash_gate_from_social
+from netgames.equilibrium import FACTOR_SOLVE_MIN_N, PROOF_MIN_N, _gate_proven
+from netgames.games import _system
 
 EX3_G = np.array(
     [
@@ -208,6 +212,107 @@ class TestCheckCoincidence:
                 assert not check_coincidence(game).holds
             except Exception as exc:
                 assert type(exc).__name__ == "SingularSystem"
+
+
+class TestCheckCoincidenceSharedProof:
+    """check_coincidence proves the Nash gate from the social system's proof where it can."""
+
+    @staticmethod
+    def assert_matches_the_solvers(game):
+        """x and social_gap are those of solve_ne_interior and solve_social_interior, bit for bit."""
+        try:
+            x = solve_ne_interior(game).x.x
+        except SingularSystem:
+            with pytest.raises(SingularSystem):
+                check_coincidence(game)
+            return None
+        check = check_coincidence(game)
+        assert check.x.x.tobytes() == x.tobytes()
+        try:
+            gap = float(np.max(np.abs(x - solve_social_interior(game).x.x)))
+        except SingularSystem:
+            assert np.isnan(check.social_gap)
+        else:
+            assert check.social_gap == gap
+        return check
+
+    @staticmethod
+    def count_cholesky(monkeypatch, game):
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda u: calls.append(1) or cholesky(u))
+        check_coincidence(game)
+        monkeypatch.undo()
+        return len(calls)
+
+    @staticmethod
+    def generic(rng, n, symmetric=False):
+        g = rng.normal(size=(n, n)) * (0.2 / np.sqrt(n))  # I+G+G^T definite either way
+        g = np.triu(g, 1) + np.triu(g, 1).T if symmetric else g - np.diag(np.diag(g))
+        return lq(g, rng.uniform(0.5, 1.5, n))
+
+    @pytest.mark.parametrize("n", [PROOF_MIN_N, FACTOR_SOLVE_MIN_N + 3])
+    def test_one_cholesky_settles_both_gates(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        game = self.generic(rng, n)
+        m, s = (_system(game, w)[0] for w in ("ne", "social"))
+        assert _nash_gate_from_social(m, np.max(np.abs(s)))
+        assert self.count_cholesky(monkeypatch, game) == 1
+        self.assert_matches_the_solvers(game)
+        # symmetric G from FACTOR_SOLVE_MIN_N on: the Nash system is solved from its own factor
+        sym = self.generic(rng, n, symmetric=True)
+        assert self.count_cholesky(monkeypatch, sym) == (2 if n >= FACTOR_SOLVE_MIN_N else 1)
+        self.assert_matches_the_solvers(sym)
+
+    @pytest.mark.parametrize("n", [PROOF_MIN_N, FACTOR_SOLVE_MIN_N + 3])
+    def test_social_proof_fails_nash_proof_holds(self, monkeypatch, n):
+        # G = 0.75(J - I): I+G+G^T = 1.5J - 0.5I is indefinite, I+G = 0.75J + 0.25I definite
+        game = lq(0.75 * (np.ones((n, n)) - np.eye(n)), np.ones(n))
+        m, s = (_system(game, w)[0] for w in ("ne", "social"))
+        assert not _gate_proven(s) and _gate_proven(m)
+        assert self.count_cholesky(monkeypatch, game) == 2
+        check = self.assert_matches_the_solvers(game)
+        assert np.isfinite(check.social_gap)
+
+    def test_every_case_matches_the_solvers(self):
+        rng = np.random.default_rng(25)
+        games = [self.generic(rng, n, symmetric=k % 2 == 1)
+                 for k, n in enumerate((3, 20, PROOF_MIN_N - 1, PROOF_MIN_N, 130, FACTOR_SOLVE_MIN_N))]
+        games.append(lq(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2)))  # singular Nash system
+        # 0.75(J - I) plus a skew part: I+G+G^T is indefinite, I+G not symmetric
+        skew = np.triu(rng.normal(size=(70, 70)), 1)
+        games.append(lq(0.75 * (np.ones((70, 70)) - np.eye(70)) + 0.1 * (skew - skew.T), np.ones(70)))
+        for game in games:
+            self.assert_matches_the_solvers(game)
+
+    def test_skew_networks_across_the_edge_of_the_scalar_proof(self):
+        # G = tK with K skew-symmetric: I+G+G^T = I exactly, so the social proof always holds
+        # and the scalar inequality fails only once max|I+G| ~ 1/(2 sigma); where it holds,
+        # the Nash system's own proof holds too, and the answers never depend on which ran
+        rng = np.random.default_rng(7)
+        n = PROOF_MIN_N
+        k = np.triu(rng.normal(size=(n, n)), 1)
+        k -= k.T
+        scalar = []
+        for t in 10.0 ** np.arange(0, 16):
+            game = lq(t * k, rng.uniform(0.5, 1.5, n))
+            m, s = (_system(game, w)[0] for w in ("ne", "social"))
+            scalar.append(_nash_gate_from_social(m, np.max(np.abs(s))))
+            assert not scalar[-1] or _gate_proven(m)
+            self.assert_matches_the_solvers(game)
+        assert scalar[0] and not scalar[-1]
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # before this check, tol=-1 returned holds=False on a coincident game
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            check_coincidence(lq(np.zeros((3, 3)), np.ones(3)), tol=tol)
+
+    def test_public_goods_game_is_a_typed_error(self):
+        pg = PublicGoodsGame(AdjacencyMatrix(np.zeros((2, 2))), np.zeros(2),
+                             GammaFamily.affine(np.ones(2), np.zeros(2)))
+        with pytest.raises(ValueError, match="NetworkGame"):
+            check_coincidence(pg)
 
 
 class TestNecessaryConditionDet:

@@ -32,6 +32,7 @@ from netgames import (
     solve_vi,
 )
 from netgames.equilibrium import (
+    FACTOR_SOLVE_MIN_N,
     PROOF_MIN_N,
     RCOND_MIN,
     _gate_proven,
@@ -157,7 +158,7 @@ class TestSolveLinear:
             np.fill_diagonal(g, 0.0)
             yield g, rng.uniform(-1.0, 2.0, n), rng.uniform(-0.5, 0.9, n)
 
-    @pytest.mark.parametrize("n", [5, 50, PROOF_MIN_N, 200])
+    @pytest.mark.parametrize("n", [5, 50, PROOF_MIN_N, 200, FACTOR_SOLVE_MIN_N + 5])
     def test_agrees_with_scipy(self, n):
         # independent oracle: scipy's LU solve on matrices assembled with explicit diagonals
         from scipy.linalg import solve
@@ -166,7 +167,10 @@ class TestSolveLinear:
             return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
 
         eye = np.eye(n)
-        for g, a, d in self.seeded_games(n):
+        games = list(self.seeded_games(n))
+        g, a, d = games[0]
+        games.append((np.triu(g, 1) + np.triu(g, 1).T, a, d))  # symmetric G: a potential game
+        for g, a, d in games:
             game = lq(g, a)
             assert rel_err(solve_ne_interior(game).x.x, solve(eye + g, a)) <= 1e-12
             assert rel_err(solve_social_interior(game).x.x, solve(eye + g + g.T, a)) <= 1e-12
@@ -359,6 +363,85 @@ class TestSolveLinear:
         assert count(monotone[:-1, :-1]) == (1, 0)  # below PROOF_MIN_N
         assert count(1e300 * monotone) == count(1e-300 * monotone) == (0, 1)  # scale-free
         assert count(np.stack([monotone, -monotone])) == (1, 1)  # each member as alone
+
+    @staticmethod
+    def symmetric_population():
+        """Seeded symmetric systems at n in [FACTOR_SOLVE_MIN_N, FACTOR_SOLVE_MIN_N + 64]."""
+        rng = np.random.default_rng(25)
+        for k in range(24):
+            n = int(rng.integers(FACTOR_SOLVE_MIN_N, FACTOR_SOLVE_MIN_N + 65))
+            kind = ("definite", "indefinite", "near the cut definite")[k % 3]
+            if kind == "near the cut definite":  # kappa_2 in [1e9, 1e13]
+                q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+                m = (q * np.logspace(0, -rng.uniform(9, 13), n)) @ q.T
+                m = (m + m.T) / 2.0
+            else:
+                w = rng.normal(size=(n, n)) * (rng.uniform(0.05, 0.3) / np.sqrt(n))
+                diag = np.ones(n) if kind == "definite" else rng.choice([-1.0, 1.0], n)
+                m = np.diag(diag) + w + w.T
+            m *= 10.0 ** rng.uniform(-5.0, 5.0)
+            yield kind, m, m @ rng.uniform(-1.0, 1.0, n)
+
+    def test_symmetric_systems_keep_every_verdict_of_the_exact_gate(self):
+        # independent oracle: numpy's 1-norm condition number; the members whose gate is
+        # proven are solved from the proof's factor
+        verdicts = set()
+        for kind, m, b in self.symmetric_population():
+            assert np.array_equal(m, m.T)
+            target = 1e-10 * (1.0 + np.max(np.abs(b)))
+            gate = 1.0 / np.linalg.cond(m, 1) >= RCOND_MIN
+            verdicts.add((kind, bool(gate), _gate_proven(m)))
+            try:
+                x = solve_linear(m, b, target)
+            except SingularSystem:
+                assert not gate, kind
+                continue
+            assert gate, kind
+            assert np.max(np.abs(b - m @ x)) <= target, kind
+        # (kind, exact gate, proof): the proof holds on every definite member and on some
+        # near the cut that pass the gate, and on no member that fails it
+        assert verdicts == {
+            ("definite", True, True),
+            ("indefinite", True, False),
+            ("near the cut definite", True, True),
+            ("near the cut definite", False, False),
+        }
+
+    @staticmethod
+    def count_calls(monkeypatch, fn, n):
+        """(cholesky, full-size solve, full-size inv) calls that ``fn()`` makes at size n."""
+        calls = {"cholesky": 0, "solve": 0, "inv": 0}
+        for name in calls:
+            def counting(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+                calls[_name] += _name == "cholesky" or np.shape(args[0])[-1] == n
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        with contextlib.suppress(SingularSystem):
+            fn()
+        monkeypatch.undo()
+        return calls["cholesky"], calls["solve"], calls["inv"]
+
+    def test_symmetric_system_solves_from_the_proofs_factor(self, monkeypatch):
+        rng = np.random.default_rng(9)
+
+        def count(m, target=1e-10):
+            b = np.ones(m.shape[-1])
+            return self.count_calls(monkeypatch, lambda: solve_linear(m, b, target), len(b))
+
+        n = FACTOR_SOLVE_MIN_N
+        w = rng.normal(size=(n, n)) * (0.2 / np.sqrt(n))
+        monotone = np.eye(n) + w + w.T
+        assert count(monotone) == (1, 0, 0)
+        assert count(monotone[:-1, :-1]) == (1, 1, 0)  # below FACTOR_SOLVE_MIN_N: LU
+        # not symmetric, whether in the first row or only further in: LU
+        for i, j in ((0, 5), (n - 2, n - 1)):
+            skewed = monotone.copy()
+            skewed[i, j] += 1e-3
+            assert count(skewed) == (1, 1, 0)
+        assert count(-monotone) == (1, 0, 1)  # no proof: the inverse decides
+        # the factor misses the target, so LU and then the inverse try it too
+        assert count(monotone, target=-1.0) == (1, 1, 1)
 
     def test_proof_shift_is_sigma_plus_the_rounding_allowance(self):
         # U = diag(1, ..., 1, t): ||U||_1 = 1, and Cholesky of a diagonal is exact, so the

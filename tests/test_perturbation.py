@@ -10,9 +10,11 @@ from matrix_oracles import p_matrix_check
 
 from netgames import (
     AdjacencyMatrix,
+    GammaFamily,
     InsufficientData,
     NetworkGame,
     NoConvergence,
+    PublicGoodsGame,
     SingularSystem,
     SweepConfig,
     cert_continuity,
@@ -305,6 +307,14 @@ class TestSweep:
             )
 
 
+    def test_public_goods_base_game_is_a_typed_error(self):
+        # before this check, sweep died on the missing attribute ``a``
+        pg = PublicGoodsGame(AdjacencyMatrix(np.zeros((4, 4))), np.zeros(4),
+                             GammaFamily.affine(np.ones(4), np.zeros(4)))
+        with pytest.raises(ValueError, match="base_game must be a NetworkGame"):
+            SweepConfig(base_game=pg, delta_pattern=PATTERN4)
+
+
 class TestBlockedSweepMatchesReference:
     @pytest.mark.parametrize("steps", [121, 1201])
     def test_readme_grids(self, steps):
@@ -475,6 +485,13 @@ class TestLipschitzCheck:
         with pytest.raises(InsufficientData):
             lipschitz_check(far, k_cap=1.0)
         assert lipschitz_check(report, k_cap=1e9).bounded
+
+
+    @pytest.mark.parametrize("k_cap", [math.nan, -1.0, 0.0, math.inf])
+    def test_k_cap_must_be_positive_and_finite(self, k_cap):
+        # before this check, nan read as "not bounded" and a negative cap was taken as given
+        with pytest.raises(ValueError, match="k_cap must be positive and finite"):
+            lipschitz_check(sweep(four_node_config(-0.1, 0.1, 5)), k_cap)
 
 
 class TestCsv:

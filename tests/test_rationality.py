@@ -5,6 +5,7 @@ import pytest
 
 from netgames import (
     AdjacencyMatrix,
+    DimensionMismatch,
     EquilibriumResult,
     ActionProfile,
     GammaFamily,
@@ -116,6 +117,13 @@ def test_kind_game_mismatch_rejected():
     )
     with pytest.raises(ValueError):
         ir_check(pg, eq)
+
+
+def test_profile_of_another_size_is_a_typed_error():
+    # before this check, the residual's matmul raised numpy's own ValueError
+    eq = solve_ne_interior(lq(np.zeros((2, 2)), np.ones(2)))
+    with pytest.raises(DimensionMismatch, match="2 players, the game 3"):
+        ir_check(lq(EX3_G, EX3_A), eq)
 
 
 def test_costs_equal_per_player_cost_functions():
