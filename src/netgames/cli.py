@@ -103,8 +103,8 @@ def _cmd_solve(args) -> int:
 def _cmd_design(args) -> int:
     if args.starts < 1:
         raise GameFileError("--starts must be at least 1")
-    if not args.tol > 0:
-        raise GameFileError("--tol must be positive")
+    if not 0.0 < args.tol < np.inf:
+        raise GameFileError("--tol must be positive and finite")
     if args.seed < 0:
         raise GameFileError("--seed must be nonnegative")
     problem = load_problem(args.problem)

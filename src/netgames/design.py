@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleDesign, NoSolutionFound, SingularSystem
-from .games import TOL_NONNEG, ActionProfile, AdjacencyMatrix, NetworkGame, _as_vector, _system
-from .equilibrium import DEFAULT_TOL, RCOND_MIN, _norm_inf, _solve, solve_ne_pg
+from .games import TOL_NONNEG, ActionProfile, AdjacencyMatrix, NetworkGame, PublicGoodsGame
+from .games import _as_vector, _row_scale, _system
+from .equilibrium import DEFAULT_TOL, RCOND_MIN, _norm_inf, _solve
 
 DESIGN_TOL = 1e-8
 RANK_TOL = 1e-10
@@ -108,67 +109,79 @@ class CoincidenceCheck:
 
     holds: bool
     x: ActionProfile
-    residual_orth: float
+    residual_orth: float  # ||(M_soc - M_ne) x||_inf, see ``_coincides``
     social_gap: float  # sup distance to the interior social optimum (nan if singular)
 
 
 @dataclass(frozen=True)
 class DeterminantReport:
+    """Determinant, numerical rank and singularity verdict of G (``necessary_condition_det``)."""
+
     det: float
     singular: bool
     rank: int
 
 
-def _coincides(game: NetworkGame, x: np.ndarray, tol: float) -> tuple[bool, float]:
-    """Coincidence verdict at the interior Nash equilibrium x, and ``||G^T x||_inf``."""
-    residual_orth = _norm_inf(game.adjacency.g.T @ x)
-    holds = residual_orth <= tol * (1.0 + _norm_inf(game.a)) and bool(np.min(x) >= -TOL_NONNEG)
+def _coincides(game, x: np.ndarray, tol: float) -> tuple[bool, float]:
+    """Coincidence verdict at the interior Nash equilibrium x, and ``||(M_soc - M_ne) x||_inf``,
+    which is ``||v*(G^T x)||_inf`` for the row scale v of ``_system`` (v = 1 for LQ games)."""
+    v, b = _row_scale(game)
+    gtx = game.adjacency.g.T @ x
+    residual_orth = _norm_inf(gtx if v is None else v * gtx)
+    holds = residual_orth <= tol * (1.0 + _norm_inf(b)) and bool(np.min(x) >= -TOL_NONNEG)
     return holds, residual_orth
 
 
 def _nash_gate_from_social(m: np.ndarray, social_max: float) -> bool:
     """Whether S = I+G+G^T, proven positive definite, with max|S| = ``social_max``, proves
-    the rcond gate of M = I+G (see ``check_coincidence``)."""
+    the rcond gate of M = I+G without a factor of M.
+
+    G has a zero diagonal, so sym(M) = (I + S)/2 + E, E the rounding of G+G^T, with |E_ij|
+    <= eps max|S|/4 and ||E||_2 <= n eps max|S|/4.  Hence sigma_min(U) >= lambda_min(sym U)
+    >= (1 - n eps max|S|)/(2 max|M|) for U = M/max|M|, and that bound reaching sqrt(n)
+    ||U||_1 RCOND_MIN + 4n^2 eps proves rcond_1(M) >= RCOND_MIN as M's own factor would.
+    The margin 4n^2 eps, twice the factor's rounding allowance, covers the rounding of these
+    scalars and keeps M's factorization clear of breakdown (Demmel's condition, Higham 2002,
+    sec. 10.1), so both routes reach the same solve.
+    """
     n, eps, scale = m.shape[-1], np.finfo(float).eps, max(m.max(), -m.min())
     u = np.abs(m / scale)  # U = M/max|M|, scaled before the column sums so none overflows
     sigma = np.sqrt(n) * u.sum(axis=0).max() * RCOND_MIN
     return (1.0 - n * eps * social_max) / (2.0 * scale) >= sigma + 4.0 * n * n * eps
 
 
-def check_coincidence(game: NetworkGame, tol: float = DESIGN_TOL) -> CoincidenceCheck:
-    """Test whether the interior Nash equilibrium is also the social optimum.
+def check_coincidence(
+    game: NetworkGame | PublicGoodsGame, tol: float = DESIGN_TOL
+) -> CoincidenceCheck:
+    """Test whether the interior Nash equilibrium x is also the social optimum.
 
-    Holds when ``||G^T x||_inf <= tol*(1+||a||_inf)`` and x is nonnegative; ValueError
-    unless ``0 < tol < inf``.  The sup distance to the interior social optimum is
-    recorded whenever ``(I+G+G^T)`` is nonsingular.  x and that optimum are the ones
-    ``solve_ne_interior`` and ``solve_social_interior`` return, bit for bit.
+    Both systems come from ``_system`` with one b, so they coincide at x exactly when
+    (M_soc - M_ne) x = 0: G^T x = 0 in an LQ game, diag(1-d) G^T x = 0 in a public-goods
+    game (``_coincides``).  Holds when its sup norm is at most ``tol*(1+||b||_inf)`` and x
+    is nonnegative; ValueError unless ``0 < tol < inf``.  ``social_gap`` is the sup
+    distance to the interior social optimum wherever M_soc is nonsingular.  x and that
+    optimum are those of ``solve_ne_interior`` and ``solve_social_interior`` (or
+    ``solve_ne_pg`` and ``solve_social_pg``), bit for bit.
 
-    The social system S = I+G+G^T is solved first.  Where its gate is proven
-    (``solve_linear``), S is positive definite, and the Nash system M = I+G needs no
-    Cholesky factor of its own: G has a zero diagonal, so sym(M) = (I + S)/2 + E with
-    E_ij = ((g_ij + g_ji) - fl(g_ij + g_ji))/2, |E_ij| <= eps max|S|/4 and ||E||_2 <=
-    n eps max|S|/4.  Hence lambda_min(sym M) >= (1 - n eps max|S|)/2, sigma_min(U) >=
-    lambda_min(sym U) >= (1 - n eps max|S|)/(2 max|M|) for U = M/max|M|, and the one
-    scalar inequality (1 - n eps max|S|)/(2 max|M|) >= sqrt(n) ||U||_1 RCOND_MIN + 4n^2
-    eps proves rcond_1(M) >= RCOND_MIN as the factor would.  The margin 4n^2 eps, twice
-    the factor's rounding allowance, covers the rounding of these scalars and keeps M's
-    own factorization clear of breakdown (Demmel's condition, Higham 2002, sec. 10.1), so
-    both routes reach the same solve.  Otherwise, and for symmetric G from
-    FACTOR_SOLVE_MIN_N on, where M is solved from its own factor, the Nash solve proves
-    its own gate.
+    The social system S is solved first.  In an LQ game whose S has a proven gate
+    (``solve_linear``), one scalar inequality proves the Nash gate of M = I+G
+    (``_nash_gate_from_social``).  Otherwise, for symmetric G from FACTOR_SOLVE_MIN_N on,
+    where M is solved from its own factor, and in a public-goods game, whose row scale
+    diag(1-d) breaks sym(M) = (I + S)/2, M proves its own gate.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if not isinstance(game, NetworkGame):
-        raise ValueError(f"check_coincidence expects a NetworkGame, got {type(game).__name__}")
-    m, a = _system(game, "social")
-    target = DEFAULT_TOL * (1.0 + _norm_inf(a))  # the target of solve_*_interior
+    if not isinstance(game, (NetworkGame, PublicGoodsGame)):
+        raise ValueError(f"expected a NetworkGame or PublicGoodsGame, got {type(game).__name__}")
+    m, b = _system(game, "social")
+    target = DEFAULT_TOL * (1.0 + _norm_inf(b))  # the target of the interior and pg solvers
     y, proven = None, False
     with contextlib.suppress(SingularSystem):
-        y, proven = _solve(m, a, target)
+        y, proven = _solve(m, b, target)
     social_max = max(m.max(), -m.min())
     m = _system(game, "ne")[0]  # S is no longer needed: one n x n system at a time
-    x = _solve(m, a, target, proven and _nash_gate_from_social(m, social_max))[0]
+    proven = proven and isinstance(game, NetworkGame) and _nash_gate_from_social(m, social_max)
+    x = _solve(m, b, target, proven)[0]
     holds, residual_orth = _coincides(game, x, tol)
     return CoincidenceCheck(
         holds=holds,
@@ -336,10 +349,10 @@ def design_solve(
     Converged iterates with any x_i < -tol are excluded and counted in
     diagnostics.  Distinct accepted branches (relative sup distance > 1e-4)
     are returned in canonical order; raises NoSolutionFound when none survive,
-    and ValueError unless ``starts >= 1`` and ``tol > 0``.
+    and ValueError unless ``starts >= 1`` and ``0 < tol < inf``.
     """
-    if starts < 1 or not tol > 0:
-        raise ValueError(f"need starts >= 1 and tol > 0, got starts={starts}, tol={tol}")
+    if starts < 1 or not 0.0 < tol < np.inf:
+        raise ValueError(f"need starts >= 1 and 0 < tol < inf, got starts={starts}, tol={tol}")
     n, a, m = problem.n, problem.a, len(problem.free)
     build_g, residual, jacobian, free_terms, step = _bilinear_system(problem)
     halvings = 0.5 ** np.arange(40)
@@ -437,20 +450,3 @@ def design_solve(
         best_residual=best,
         iterations=iterations,
     )
-
-
-@dataclass(frozen=True)
-class PgCoincidenceCheck:
-    holds: bool
-    x: ActionProfile
-    residual: float
-
-
-def pg_coincidence(game, tol: float = DESIGN_TOL) -> PgCoincidenceCheck:
-    """Public-goods coincidence test: (V G^T) x = 0 at the NE.
-
-    V = diag(1 - d); when every d_i != 1 this is equivalent to G^T x = 0.
-    """
-    x = solve_ne_pg(game, tol=min(tol, 1e-10)).x.x
-    residual = _norm_inf((1.0 - game.gamma.d) * (game.adjacency.g.T @ x))
-    return PgCoincidenceCheck(holds=residual <= tol, x=ActionProfile(x), residual=residual)

@@ -3,26 +3,20 @@
 Every solver reads its first-order map ``F(x) = Mx - b`` from
 ``games._system``: ``(I+G, a)`` for the Nash equilibrium, ``(I+G+G^T, a)``
 for the social optimum, and ``(I + diag(1-d) S, c + d*theta)`` with S = G or
-G+G^T for their public-goods analogues.  Interior solutions solve
-``Mx = b`` in ``solve_linear`` behind an exact 1-norm rcond gate.  Strong
-monotonicity, the VI's uniqueness condition, proves that gate: if the symmetric part of
-U = M/max|M| less (sigma + 2n^2 eps) I has a floating-point Cholesky factor L (Rump, BIT
-46, 2006), then sigma_min(U) >= sigma = sqrt(n) ||U||_1 RCOND_MIN, so rcond_1(M) >=
-RCOND_MIN.  From FACTOR_SOLVE_MIN_N players on, an exactly symmetric M (every LQ social
-optimum, and the equilibrium of a potential game) is then solved from L itself; any
-other M by one LU solve.  One proof can settle two gates: G has a zero diagonal, so
-sym(I+G) = (I + S)/2 for S = I+G+G^T up to the rounding of G+G^T, at most n eps max|S|/4
-in 2-norm, and a proven S bounds lambda_min(sym(I+G)) >= (1 - n eps max|S|)/2; one scalar
-inequality then proves the Nash gate (``design.check_coincidence``).  Otherwise, and
-below PROOF_MIN_N players, one inverse gives the gate, the solution and every
-refinement step.  On the nonnegative orthant (or a box) the solution concept is the
-variational inequality VI(X, F), a linear complementarity problem; ``solve_vi`` solves
-it by least-index principal pivoting up to a solved basis with no violator.
+G+G^T for their public-goods analogues.  Interior solutions solve ``Mx = b`` in
+``solve_linear`` behind an exact 1-norm rcond gate, which strong monotonicity, the VI's
+uniqueness condition, proves from one Cholesky factor (Rump, BIT 46, 2006); that factor
+also solves an exactly symmetric M, and one proof settles the gates of both LQ systems
+(``design.check_coincidence``).  On the nonnegative orthant (or a box) the solution
+concept is the variational inequality VI(X, F), a linear complementarity problem;
+``solve_vi`` solves it by least-index principal pivoting up to a solved basis with no
+violator.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +46,10 @@ PROOF_MIN_N = 64  # solve_linear proves the rcond gate from this size on; below,
 #   proof + factor solve    0.48   0.71   1.16   1.48   1.93   4.54   21.3
 FACTOR_SOLVE_MIN_N = 200
 _SUBST_BLOCK = 32  # diagonal block of the blocked triangular substitution
+# Past the rcond gate every partial sum of M @ x is at most max|M| ||x||_1 <= ||M||_1
+# ||M^-1||_1 ||b||_1 <= n ||b||_inf / RCOND_MIN (x near M^-1 b: the factor 4 spares its
+# rounding), so no residual b - Mx can overflow while n ||b||_inf is at most this.
+_WIDE_B = np.finfo(float).max * RCOND_MIN / 4
 
 INTERIOR_KINDS = ("interior-ne", "interior-social")
 CONSTRAINED_KINDS = ("constrained-ne", "constrained-social")
@@ -183,6 +181,9 @@ def _solve(m: np.ndarray, b: np.ndarray, residual_target: float, proven: bool = 
     Returns x and whether the gate was proven, by a factor here or by the caller.
     """
     n = m.shape[-1]
+    if n * _norm_inf(b) > _WIDE_B:  # 2^e the least power of two above max|M|: ``solve_linear``
+        e = math.frexp(max(m.max(), -m.min()))[1]
+        m, b, residual_target = np.ldexp(m, -e), np.ldexp(b, -e), math.ldexp(residual_target, -e)
     if n >= PROOF_MIN_N:
         # the first row against the first column rejects most non-symmetric M in O(n)
         if n >= FACTOR_SOLVE_MIN_N and np.array_equal(m[0], m[:, 0]) and np.array_equal(m, m.T):
@@ -213,12 +214,15 @@ def solve_linear(m: np.ndarray, b: np.ndarray, residual_target: float):
     symmetric one whose refinement misses ``residual_target``, by one LU solve kept if
     it meets the target.  Otherwise one inverse serves the gate, the solve and up to 5
     refinement steps, and SingularSystem is raised where the gate or the target fails.
-    A proof only skips that inverse, so it never changes a verdict.  A stack (..., n, n)
-    returns ``(x, ok)``, each member flagged (x nan, ok False) where alone it raises.
+    A proof only skips that inverse, so it never changes a verdict.  Where n ||b||_inf
+    passes ``_WIDE_B``, M, b and the target are first scaled by 2^-e, 2^e the least power
+    of two above max|M|: exact but where it underflows, so x and the verdict are the
+    unscaled system's, with no overflow in b - Mx.  A stack (..., n, n) returns ``(x,
+    ok)``, each member flagged (x nan, ok False) where alone it raises.
     """
     if m.ndim == 2:
         return _solve(m, b, residual_target)[0]
-    if m.shape[-1] < PROOF_MIN_N:
+    if m.shape[-1] < PROOF_MIN_N and m.shape[-1] * _norm_inf(b) <= _WIDE_B:
         return _inverse_solve(m, b, residual_target)
     b = np.broadcast_to(b, m.shape[:-1])  # a stacked inverse would save only call overhead
     x = np.full(b.shape, np.nan)
@@ -357,18 +361,12 @@ def solve_vi(
 
 
 def solve_ne_pg(game: PublicGoodsGame, tol: float = DEFAULT_TOL) -> EquilibriumResult:
-    """Public-goods Nash equilibrium (I+G)x = gamma(theta + Gx).
-
-    Solves the linear system ``(I + V G) x = c + d*theta`` with V = diag(1 - d),
-    built as a row scale.
-    """
+    """Public-goods Nash equilibrium (I+G)x = gamma(theta + Gx): the linear system
+    ``(I + diag(1-d) G) x = c + d*theta`` of ``_system``."""
     return _solve_system(game, "ne", "pg-ne", tol)
 
 
 def solve_social_pg(game: PublicGoodsGame, tol: float = DEFAULT_TOL) -> EquilibriumResult:
-    """Public-goods social optimum.
-
-    Solves ``(I + V (G + G^T)) y = c + d*theta`` with V = diag(1 - d), built
-    as a row scale.
-    """
+    """Public-goods social optimum: the linear system ``(I + diag(1-d)(G + G^T)) y = c +
+    d*theta`` of ``_system``."""
     return _solve_system(game, "social", "pg-social", tol)

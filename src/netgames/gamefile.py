@@ -98,6 +98,7 @@ def parse_game(text: str, source: str = "game"):
 
 
 def load_game(path: str):
+    """Read a game document from ``path`` (``parse_game``)."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_game(fh.read(), source=str(path))
 
@@ -110,6 +111,7 @@ def parse_pattern(text: str, source: str = "pattern") -> np.ndarray:
 
 
 def load_pattern(path: str) -> np.ndarray:
+    """Read a perturbation-pattern document from ``path`` (``parse_pattern``)."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_pattern(fh.read(), source=str(path))
 
@@ -127,6 +129,7 @@ def game_document(game) -> dict:
 
 
 def save_game(game, path: str) -> None:
+    """Write ``game`` to ``path`` as a game document (``game_document``)."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(game_document(game), fh, indent=2)
         fh.write("\n")
@@ -158,11 +161,13 @@ def parse_problem(text: str, source: str = "problem") -> DesignProblem:
 
 
 def load_problem(path: str) -> DesignProblem:
+    """Read a design-problem document from ``path`` (``parse_problem``)."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_problem(fh.read(), source=str(path))
 
 
 def save_problem(problem: DesignProblem, path: str) -> None:
+    """Write ``problem`` to ``path`` as a design-problem document."""
     doc = {
         "n": problem.n,
         "a": problem.a.tolist(),

@@ -174,45 +174,53 @@ class PublicGoodsGame:
         return self.adjacency.n
 
 
-def _system(game, which: str) -> tuple[np.ndarray, np.ndarray]:
-    """``(M, b)`` of ``F(x) = Mx - b`` for ``which`` = "ne" (S = G) or "social" (S = G+G^T).
+def _row_scale(game) -> tuple[np.ndarray | None, np.ndarray]:
+    """``(v, b)`` of ``_system``, M = I + diag(v) S: v = 1-d, or None (all ones) for LQ."""
+    if isinstance(game, PublicGoodsGame):
+        d = game.gamma.d
+        return 1.0 - d, game.gamma.c + d * game.theta
+    return None, game.a
 
-    M = I + S, b = a for an LQ game; M = I + diag(1-d) S, b = c + d*theta for
-    a public-goods game.
-    """
+
+def _system(game, which: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(M, b)`` of ``F(x) = Mx - b`` (module docstring), S = G ("ne") or G+G^T ("social")."""
     if which not in ("ne", "social"):
         raise ValueError(f"which must be 'ne' or 'social', got {which!r}")
     g = game.adjacency.g
     s = g + g.T if which == "social" else g
-    if not isinstance(game, PublicGoodsGame):
-        return np.eye(game.n) + s, game.a
-    d = game.gamma.d
-    return np.eye(game.n) + (1.0 - d)[:, None] * s, game.gamma.c + d * game.theta
+    v, b = _row_scale(game)
+    return np.eye(game.n) + (s if v is None else v[:, None] * s), b
+
+
+def _benefit(game, z: np.ndarray) -> np.ndarray:
+    """b of every cost ``0.5*x_i**2 + (z_i - b_i)*x_i`` at aggregate z: a, or gamma(theta + z)."""
+    return game.gamma.value(game.theta + z) if isinstance(game, PublicGoodsGame) else game.a
 
 
 def _costs(game, x: np.ndarray) -> np.ndarray:
-    """Every player's cost ``0.5*x_i**2 + (z_i - b_i)*x_i``, b = a or gamma(theta + z)."""
+    """Every player's cost ``0.5*x_i**2 + (z_i - b_i)*x_i``, z = G@x, b from ``_benefit``."""
     z = game.adjacency.g @ x
-    b = game.gamma.value(game.theta + z) if isinstance(game, PublicGoodsGame) else game.a
-    return 0.5 * x * x + (z - b) * x
+    return 0.5 * x * x + (z - _benefit(game, z)) * x
 
 
-def aggregate(game, x) -> np.ndarray:
+def aggregate(game: NetworkGame | PublicGoodsGame, x) -> np.ndarray:
     """Neighbor aggregate z = G @ x."""
     xv = profile_vector(x, game.n)
     return game.adjacency.g @ xv
 
 
-def cost_lq(game: NetworkGame, i: int, x) -> float:
-    """Cost of player i (1-based): 0.5*x_i**2 + (z_i - a_i)*x_i."""
+def cost_lq(game: NetworkGame | PublicGoodsGame, i: int, x) -> float:
+    """Cost of player i (1-based): 0.5*x_i**2 + (z_i - b_i)*x_i with z = G@x and
+    b_i = a_i, or gamma_i(theta_i + z_i) in a public-goods game."""
     if not 1 <= i <= game.n:
         raise IndexError(f"player index {i} out of range 1..{game.n}")
     return float(_costs(game, profile_vector(x, game.n))[i - 1])
 
 
-def social_cost(game: NetworkGame, x) -> float:
-    """Sum of all players' costs: 0.5*x.x - a.x + x.(G@x)."""
-    return float(_social_cost(game.adjacency.g, game.a, profile_vector(x, game.n)))
+def social_cost(game: NetworkGame | PublicGoodsGame, x) -> float:
+    """Sum of all players' costs: 0.5*x.x + (G@x - b).x, b as in ``cost_lq``."""
+    xv, g = profile_vector(x, game.n), game.adjacency.g
+    return float(_social_cost(g, _benefit(game, g @ xv), xv))
 
 
 def _social_cost(g: np.ndarray, a: np.ndarray, x: np.ndarray):
@@ -221,28 +229,16 @@ def _social_cost(g: np.ndarray, a: np.ndarray, x: np.ndarray):
     return (0.5 * x[..., None, :] @ x[..., None] + (z - a)[..., None, :] @ x[..., None])[..., 0, 0]
 
 
-def cost_pg(game: PublicGoodsGame, i: int, x) -> float:
-    """Public-goods cost of player i: 0.5*x_i**2 + (z_i - gamma_i(theta_i+z_i))*x_i."""
-    if not 1 <= i <= game.n:
-        raise IndexError(f"player index {i} out of range 1..{game.n}")
-    return float(_costs(game, profile_vector(x, game.n))[i - 1])
-
-
-def social_cost_pg(game: PublicGoodsGame, x) -> float:
-    """Sum of public-goods costs."""
-    xv = profile_vector(x, game.n)
-    z = game.adjacency.g @ xv
-    gam = game.gamma.value(game.theta + z)
-    return float(0.5 * xv @ xv + (z - gam) @ xv)
-
-
-def grad_F(game: NetworkGame, x) -> np.ndarray:
-    """Pseudo-gradient of individual costs: (I+G)x - a."""
+def grad_F(game: NetworkGame | PublicGoodsGame, x) -> np.ndarray:
+    """Pseudo-gradient of individual costs: (I+G)x - a, or (I + diag(1-d) G)x - (c + d*theta)
+    in a public-goods game (``_system``)."""
     m, b = _system(game, "ne")
     return m @ profile_vector(x, game.n) - b
 
 
-def grad_W(game: NetworkGame, x) -> np.ndarray:
-    """Gradient of the social cost: (I+G+G^T)x - a."""
+def grad_W(game: NetworkGame | PublicGoodsGame, x) -> np.ndarray:
+    """Social first-order map of ``_system``: (I+G+G^T)x - a, the gradient of ``social_cost``;
+    in a public-goods game (I + diag(1-d)(G+G^T))x - (c + d*theta), which ``solve_social_pg``
+    zeroes."""
     m, b = _system(game, "social")
     return m @ profile_vector(x, game.n) - b

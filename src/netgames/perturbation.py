@@ -67,6 +67,8 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One grid point of a ``sweep``: solution, social cost, feasibility and margins."""
+
     delta: float
     x_star: np.ndarray | None  # None unless status is "ok"
     social_cost: float
@@ -165,6 +167,8 @@ def sweep(config: SweepConfig) -> SweepReport:
 
 @dataclass(frozen=True)
 class LipschitzCheck:
+    """Worst adjacent cost ratio of a sweep and whether it is within the bound."""
+
     bounded: bool
     max_ratio: float
 

@@ -122,6 +122,8 @@ def sample_er(config: ErConfig) -> Iterator[AdjacencyMatrix]:
 
 @dataclass(frozen=True)
 class SingularityStats:
+    """Fraction of singular samples and their mean smallest singular value."""
+
     fraction_singular: float
     mean_min_sv: float
 
@@ -133,6 +135,8 @@ def singularity_stats(config: ErConfig, rank_tol: float = RANK_TOL) -> Singulari
 
 @dataclass(frozen=True)
 class ScanCounts:
+    """Samples tested, singular and coincident, with the singularity stats of the same samples."""
+
     tested: int
     singular: int
     coincident: int

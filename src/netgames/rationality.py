@@ -20,6 +20,8 @@ IR_TOL = 1e-9
 
 @dataclass(frozen=True)
 class PlayerRationality:
+    """One player's equilibrium cost against the zero cost of opting out."""
+
     player: int  # 1-based
     cost_at_eq: float
     cost_opt_out: float
@@ -28,6 +30,8 @@ class PlayerRationality:
 
 @dataclass(frozen=True)
 class IrReport:
+    """Every player's participation verdict (``ir_check``)."""
+
     players: tuple
 
     @property
@@ -52,7 +56,7 @@ def ir_check(game, eq: EquilibriumResult, tol: float = 1e-8) -> IrReport:
     Re-validates the equilibrium residual of F(x) = Mx - b (box-aware when the
     game carries an upper bound) and raises NotAnEquilibrium beyond
     ``tol*max(1, ||b||_inf)``.  All costs come from one aggregate ``G @ x`` and
-    equal ``cost_lq``/``cost_pg`` player by player.  DimensionMismatch: ``eq`` is a
+    equal ``cost_lq`` player by player, for either game family.  DimensionMismatch: ``eq`` is a
     profile for another number of players.
     """
     if len(eq.x) != game.n:

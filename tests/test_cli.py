@@ -214,7 +214,9 @@ class TestDesign:
         assert code == 3
 
     @pytest.mark.parametrize(
-        "flag", [["--starts", "0"], ["--starts", "-3"], ["--tol", "-1"], ["--seed", "-1"]]
+        "flag",
+        [["--starts", "0"], ["--starts", "-3"], ["--tol", "-1"], ["--seed", "-1"],
+         ["--tol", "inf"]],
     )
     def test_invalid_arguments_exit_1(self, tmp_path, capsys, flag):
         problem = {"n": 2, "a": [1.0, 1.0], "fixed": [], "free": [[1, 2]]}

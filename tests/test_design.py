@@ -17,12 +17,13 @@ from netgames import (
     design_solve,
     four_player_symmetric_example,
     necessary_condition_det,
-    pg_coincidence,
     potential_check,
     SingularSystem,
     social_cost,
     solve_ne_interior,
+    solve_ne_pg,
     solve_social_interior,
+    solve_social_pg,
     symmetric_design,
 )
 from netgames.design import DISTINCT_TOL, _bilinear_system, _nash_gate_from_social
@@ -41,6 +42,15 @@ EX3_A = np.array([1.0, 2.0, 3.0])
 
 def lq(g, a):
     return NetworkGame(AdjacencyMatrix(g), np.asarray(a, dtype=float))
+
+
+def pg(g, theta, c, d):
+    n = len(c)
+    return PublicGoodsGame(
+        AdjacencyMatrix(np.asarray(g, dtype=float)),
+        np.broadcast_to(np.asarray(theta, dtype=float), (n,)),
+        GammaFamily(c, np.broadcast_to(np.asarray(d, dtype=float), (n,))),
+    )
 
 
 def sup(v) -> float:
@@ -219,9 +229,12 @@ class TestCheckCoincidenceSharedProof:
 
     @staticmethod
     def assert_matches_the_solvers(game):
-        """x and social_gap are those of solve_ne_interior and solve_social_interior, bit for bit."""
+        """x and social_gap are those of the game's two interior solvers, bit for bit."""
+        public_goods = isinstance(game, PublicGoodsGame)
+        solve_ne = solve_ne_pg if public_goods else solve_ne_interior
+        solve_social = solve_social_pg if public_goods else solve_social_interior
         try:
-            x = solve_ne_interior(game).x.x
+            x = solve_ne(game).x.x
         except SingularSystem:
             with pytest.raises(SingularSystem):
                 check_coincidence(game)
@@ -229,7 +242,7 @@ class TestCheckCoincidenceSharedProof:
         check = check_coincidence(game)
         assert check.x.x.tobytes() == x.tobytes()
         try:
-            gap = float(np.max(np.abs(x - solve_social_interior(game).x.x)))
+            gap = float(np.max(np.abs(x - solve_social(game).x.x)))
         except SingularSystem:
             assert np.isnan(check.social_gap)
         else:
@@ -308,11 +321,20 @@ class TestCheckCoincidenceSharedProof:
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             check_coincidence(lq(np.zeros((3, 3)), np.ones(3)), tol=tol)
 
-    def test_public_goods_game_is_a_typed_error(self):
-        pg = PublicGoodsGame(AdjacencyMatrix(np.zeros((2, 2))), np.zeros(2),
-                             GammaFamily.affine(np.ones(2), np.zeros(2)))
-        with pytest.raises(ValueError, match="NetworkGame"):
-            check_coincidence(pg)
+    def test_other_types_are_a_typed_error(self):
+        with pytest.raises(ValueError, match="NetworkGame or PublicGoodsGame"):
+            check_coincidence(AdjacencyMatrix(np.zeros((2, 2))))
+
+    @pytest.mark.parametrize("n", [PROOF_MIN_N, FACTOR_SOLVE_MIN_N + 3])
+    def test_public_goods_nash_solve_proves_its_own_gate(self, monkeypatch, n):
+        # the row scale diag(1-d) breaks sym(M_ne) = (I + M_soc)/2: two proofs, even at d = 0
+        rng = np.random.default_rng(n)
+        game = self.generic(rng, n)
+        assert self.count_cholesky(monkeypatch, game) == 1
+        for d in (np.zeros(n), rng.uniform(0.1, 0.5, n)):
+            twin = pg(game.adjacency.g, rng.uniform(0.0, 1.0, n), game.a, d)
+            assert self.count_cholesky(monkeypatch, twin) == 2
+            self.assert_matches_the_solvers(twin)
 
 
 class TestNecessaryConditionDet:
@@ -635,7 +657,11 @@ class TestDesignSolve:
         with pytest.raises(ValueError):
             DesignProblem(n=2, a=np.ones(2), fixed=(), free=((3, 1),))
 
-    @pytest.mark.parametrize("kwargs", [{"starts": 0}, {"starts": -3}, {"tol": -1.0}, {"tol": 0.0}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"starts": 0}, {"starts": -3}, {"tol": -1.0}, {"tol": 0.0}, {"tol": np.inf},
+         {"tol": np.nan}],
+    )
     def test_invalid_arguments_raise_value_error(self, kwargs):
         # out-of-range arguments are caller errors, not a failed search
         with pytest.raises(ValueError):
@@ -713,34 +739,75 @@ def _with_free(problem, gf):
 
 
 class TestPgCoincidence:
+    """``check_coincidence`` on public-goods games: diag(1-d) G^T x = 0 at the equilibrium."""
+
     def test_empty_network(self):
-        pg = PublicGoodsGame(
-            AdjacencyMatrix(np.zeros((2, 2))),
-            np.zeros(2),
-            GammaFamily.affine(np.ones(2), np.full(2, 0.5)),
-        )
-        assert pg_coincidence(pg).holds
+        assert check_coincidence(pg(np.zeros((2, 2)), 0.0, np.ones(2), 0.5)).holds
 
     def test_unit_slope_degenerate(self):
         # d = 1 makes V = 0: the condition holds for every network
-        g = np.array([[0.0, 0.8], [-0.6, 0.0]])
-        pg = PublicGoodsGame(
-            AdjacencyMatrix(g), np.array([1.0, 2.0]), GammaFamily.affine(np.ones(2), np.ones(2))
-        )
-        assert pg_coincidence(pg).holds
+        game = pg([[0.0, 0.8], [-0.6, 0.0]], [1.0, 2.0], np.ones(2), 1.0)
+        assert check_coincidence(game).holds
 
     def test_constant_gamma_reduces_to_lq_coincidence(self):
-        pg = PublicGoodsGame(
-            AdjacencyMatrix(EX3_G), np.zeros(3), GammaFamily.affine(EX3_A, np.zeros(3))
-        )
-        assert pg_coincidence(pg, tol=5e-3).holds
+        assert check_coincidence(pg(EX3_G, 0.0, EX3_A, 0.0), tol=5e-3).holds
 
     def test_generic_fails(self):
-        g = np.array([[0.0, 0.4], [0.3, 0.0]])
-        pg = PublicGoodsGame(
-            AdjacencyMatrix(g), np.zeros(2), GammaFamily.affine(np.ones(2), np.full(2, 0.5))
-        )
-        assert not pg_coincidence(pg).holds
+        assert not check_coincidence(pg([[0.0, 0.4], [0.3, 0.0]], 0.0, np.ones(2), 0.5)).holds
+
+    def test_negative_equilibrium_is_not_coincident(self):
+        # x = (-1, 1): the sign test applies to both families, as it does to the LQ twin
+        game = pg(np.zeros((2, 2)), 0.0, [-1.0, 1.0], 0.5)
+        check = check_coincidence(game)
+        np.testing.assert_array_equal(check.x.x, [-1.0, 1.0])
+        assert not check.holds
+        assert not check_coincidence(lq(np.zeros((2, 2)), [-1.0, 1.0])).holds
+
+    def test_verdict_scales_with_the_right_hand_side(self):
+        # the four-player design with c = 1e9: G^T x is ~1e-7 of rounding, within
+        # tol*(1+||b||_inf) = 10; a bare tol of 1e-8 called it non-coincident
+        g = four_player_symmetric_example().adjacency.g
+        check = check_coincidence(pg(g, 0.0, np.full(4, 1e9), 0.3))
+        assert check.holds
+        assert 0.0 < check.residual_orth <= 1e-8 * (1.0 + 1e9)
+
+    @staticmethod
+    def population():
+        """LQ games at n = 2..203: generic, symmetric, coincident, and singular systems."""
+        rng = np.random.default_rng(26)
+        games = [
+            lq([[0.0, 1.0], [0.0, 0.0]], np.ones(2)),  # I+G+G^T singular
+            lq([[0.0, 1.0], [1.0, 0.0]], np.ones(2)),  # I+G singular
+            four_player_symmetric_example(),
+        ]
+        for n in (2, 3, 7, 40, PROOF_MIN_N, 130, FACTOR_SOLVE_MIN_N, FACTOR_SOLVE_MIN_N + 3):
+            g = rng.normal(size=(n, n)) * (0.2 / np.sqrt(n))
+            np.fill_diagonal(g, 0.0)
+            games += [lq(g, rng.uniform(0.5, 1.5, n)), lq(np.triu(g) + np.triu(g).T, np.ones(n))]
+            if n >= 4:
+                a = rng.uniform(0.5, 1.5, n)
+                games.append(lq(symmetric_design(a, seed=n).adjacency.g, a))
+        return games
+
+    def test_constant_demand_twin_matches_the_lq_game(self):
+        # d = 0 gives the LQ systems bit for bit, so every field must match
+        rng = np.random.default_rng(27)
+        holds = []
+        for game in self.population():
+            twin = pg(game.adjacency.g, rng.normal(size=game.n), game.a, 0.0)
+            try:
+                want = check_coincidence(game)
+            except SingularSystem:
+                with pytest.raises(SingularSystem):
+                    check_coincidence(twin)
+                continue
+            got = check_coincidence(twin)
+            assert got.holds == want.holds
+            assert got.x.x.tobytes() == want.x.x.tobytes()
+            assert got.residual_orth == want.residual_orth
+            assert np.float64(got.social_gap).tobytes() == np.float64(want.social_gap).tobytes()
+            holds.append(got.holds)
+        assert 0 < sum(holds) < len(holds)
 
 
 class TestPotentialCheck:

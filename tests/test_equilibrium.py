@@ -483,6 +483,35 @@ class TestSolveLinear:
         assert ok.all() and x[1].tobytes() == solve_linear(small, np.ones(2), 1e-10).tobytes()
         assert rcond.tolist() == [1.0, 0.25]
 
+    @pytest.mark.parametrize("n, symmetric", [(40, False), (100, False), (210, True), (210, False)])
+    def test_wide_right_hand_side_solves_as_its_scaled_twin(self, n, symmetric):
+        # M = 1e307 Q diag(logspace(0, -k, n)) P^T and b ~ 1e306: max|M| ||x||_1 passes the
+        # largest double, so an unscaled b - Mx overflows.  Scaled by a power of two, every
+        # verdict and x is that of the twin 2^-1000 (M, b), bit for bit, at n = 40 (inverse),
+        # 100 (proof and LU) and 210 (the proof's Cholesky factor when symmetric)
+        rng = np.random.default_rng(n)
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        p = q if symmetric else np.linalg.qr(rng.standard_normal((n, n)))[0]
+        # kappa_2 = 1e10 cannot meet a 1e-10 relative target: refinement stalls near eps kappa
+        for k, rel, solves in ((10, 1e-10, False), (10, 1e-5, True), (4, 1e-10, True)):
+            m = 1e307 * (q * np.logspace(0, -k, n)) @ p.T
+            m = (m + m.T) / 2 if symmetric else m
+            b = 1e306 * rng.uniform(-1.0, 1.0, n)
+            target = rel * (1.0 + np.max(np.abs(b)))
+            twin = (np.ldexp(m, -1000), np.ldexp(b, -1000), np.ldexp(target, -1000))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if not solves:
+                    for system in ((m, b, target), twin):
+                        with pytest.raises(SingularSystem, match="refinement"):
+                            solve_linear(*system)
+                    continue
+                x = solve_linear(m, b, target)
+                assert x.tobytes() == solve_linear(*twin).tobytes()
+                xs, ok = solve_linear(np.stack([m, m]), b, target)
+            assert ok.all() and xs[0].tobytes() == xs[1].tobytes() == x.tobytes()
+            assert np.log2(np.max(np.abs(m))) + np.log2(np.sum(np.abs(x))) > 1024
+
 
 class TestSolveVi:
     def test_public_goods_game_is_a_typed_error(self):

@@ -12,11 +12,11 @@ from netgames import (
     PublicGoodsGame,
     aggregate,
     cost_lq,
-    cost_pg,
     grad_F,
     grad_W,
     social_cost,
-    social_cost_pg,
+    solve_ne_pg,
+    solve_social_pg,
 )
 
 # Values printed in the three-player worked example: fixed entries
@@ -200,7 +200,17 @@ class TestGamma:
                 v[0] = 0.0
 
 
+def social_cost_pg_reference(game: PublicGoodsGame, x) -> float:
+    """Public-goods social cost from its definition: 0.5*x.x + (z - gamma(theta + z)).x."""
+    xv = np.asarray(x, dtype=float)
+    z = game.adjacency.g @ xv
+    gam = game.gamma.value(game.theta + z)
+    return float(0.5 * xv @ xv + (z - gam) @ xv)
+
+
 class TestCostPg:
+    """``cost_lq`` and ``social_cost`` on public-goods games."""
+
     def pg_game(self, g, theta, c, d):
         return PublicGoodsGame(
             AdjacencyMatrix(g), np.asarray(theta, dtype=float), GammaFamily.affine(c, d)
@@ -208,7 +218,7 @@ class TestCostPg:
 
     def test_zero_profile(self):
         game = self.pg_game(np.zeros((2, 2)), [1.0, 1.0], [0.5, 0.5], [0.2, 0.2])
-        assert social_cost_pg(game, np.zeros(2)) == 0.0
+        assert social_cost(game, np.zeros(2)) == 0.0
 
     def test_constant_gamma_reduces_to_lq(self):
         rng = np.random.default_rng(23)
@@ -221,13 +231,43 @@ class TestCostPg:
             game = lq(g, c)
             x = rng.normal(size=n)
             for i in range(1, n + 1):
-                assert cost_pg(pg, i, x) == cost_lq(game, i, x)
+                assert cost_lq(pg, i, x) == cost_lq(game, i, x)
+            assert social_cost(pg, x) == social_cost(game, x)
 
     def test_single_player_hand_value(self):
         # z=0, gamma = 0.5 + 0.25*(1+0) = 0.75, cost = 0.5 - 0.75
         game = self.pg_game(np.zeros((1, 1)), [1.0], [0.5], [0.25])
-        assert cost_pg(game, 1, np.array([1.0])) == pytest.approx(-0.25, abs=1e-15)
-        assert social_cost_pg(game, np.array([1.0])) == pytest.approx(-0.25, abs=1e-15)
+        assert cost_lq(game, 1, np.array([1.0])) == pytest.approx(-0.25, abs=1e-15)
+        assert social_cost(game, np.array([1.0])) == pytest.approx(-0.25, abs=1e-15)
+
+    def test_social_cost_matches_the_definition(self):
+        rng = np.random.default_rng(26)
+        for n in (1, 2, 3, 5, 8, 40, 130, 250):
+            for _ in range(10):
+                g = rng.normal(size=(n, n))
+                np.fill_diagonal(g, 0.0)
+                theta, c, d = rng.normal(size=n), rng.normal(size=n), rng.uniform(-1, 1, n)
+                game = self.pg_game(g, theta, c, d)
+                x = rng.normal(size=n)
+                want = social_cost_pg_reference(game, x)
+                assert abs(social_cost(game, x) - want) <= 1e-14 * abs(want)
+                per_player = sum(cost_lq(game, i, x) for i in range(1, n + 1))
+                assert per_player == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_pseudo_gradient_and_social_map(self):
+        # grad_F is the pseudo-gradient of the public-goods costs; grad_W is the first-order
+        # map of the public-goods optimum, zero at solve_social_pg's y
+        rng = np.random.default_rng(31)
+        h = 1e-6
+        g = rng.normal(size=(4, 4)) * 0.2
+        np.fill_diagonal(g, 0.0)
+        game = self.pg_game(g, rng.uniform(0, 1, 4), rng.uniform(0.5, 1, 4), rng.uniform(0, 0.5, 4))
+        x = rng.normal(size=4)
+        fd = [(cost_lq(game, i + 1, x + e) - cost_lq(game, i + 1, x - e)) / (2 * h)
+              for i, e in enumerate(h * np.eye(4))]
+        np.testing.assert_allclose(grad_F(game, x), fd, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(grad_F(game, solve_ne_pg(game).x), 0.0, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(grad_W(game, solve_social_pg(game).x), 0.0, rtol=0, atol=1e-10)
 
 
 class TestGradients:

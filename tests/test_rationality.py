@@ -13,7 +13,6 @@ from netgames import (
     NotAnEquilibrium,
     PublicGoodsGame,
     cost_lq,
-    cost_pg,
     ir_check,
     solve_ne_interior,
     solve_ne_pg,
@@ -144,7 +143,7 @@ def test_costs_equal_per_player_cost_functions():
     )
     eq = solve_ne_pg(pg, tol=1e-12)
     report = ir_check(pg, eq)
-    assert [p.cost_at_eq for p in report.players] == [cost_pg(pg, i, eq.x) for i in (1, 2)]
+    assert [p.cost_at_eq for p in report.players] == [cost_lq(pg, i, eq.x) for i in (1, 2)]
 
 
 def test_box_equilibrium_with_binding_bounds():
