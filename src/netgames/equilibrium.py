@@ -181,7 +181,7 @@ def _solve(m: np.ndarray, b: np.ndarray, residual_target: float, proven: bool = 
     Returns x and whether the gate was proven, by a factor here or by the caller.
     """
     n = m.shape[-1]
-    if n * _norm_inf(b) > _WIDE_B:  # 2^e the least power of two above max|M|: ``solve_linear``
+    if np.abs(b).max() > _WIDE_B / n:  # 2^e the least power of two above max|M|: ``solve_linear``
         e = math.frexp(max(m.max(), -m.min()))[1]
         m, b, residual_target = np.ldexp(m, -e), np.ldexp(b, -e), math.ldexp(residual_target, -e)
     if n >= PROOF_MIN_N:
@@ -222,7 +222,7 @@ def solve_linear(m: np.ndarray, b: np.ndarray, residual_target: float):
     """
     if m.ndim == 2:
         return _solve(m, b, residual_target)[0]
-    if m.shape[-1] < PROOF_MIN_N and m.shape[-1] * _norm_inf(b) <= _WIDE_B:
+    if m.shape[-1] < PROOF_MIN_N and np.abs(b).max(initial=0.0) <= _WIDE_B / m.shape[-1]:
         return _inverse_solve(m, b, residual_target)
     b = np.broadcast_to(b, m.shape[:-1])  # a stacked inverse would save only call overhead
     x = np.full(b.shape, np.nan)
