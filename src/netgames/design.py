@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleDesign, NoSolutionFound, SingularSystem
-from .games import TOL_NONNEG, ActionProfile, AdjacencyMatrix, NetworkGame, PublicGoodsGame
-from .games import _as_vector, _row_scale, _system
+from .games import ActionProfile, AdjacencyMatrix, NetworkGame, PublicGoodsGame
+from .games import _as_vector, _row_scale, _slack, _system
 from .equilibrium import DEFAULT_TOL, RCOND_MIN, _norm_inf, _solve
 
 DESIGN_TOL = 1e-8
@@ -122,14 +122,13 @@ class DeterminantReport:
     rank: int
 
 
-def _coincides(game, x: np.ndarray, tol: float) -> tuple[bool, float]:
-    """Coincidence verdict at the interior Nash equilibrium x, and ``||(M_soc - M_ne) x||_inf``,
-    which is ``||v*(G^T x)||_inf`` for the row scale v of ``_system`` (v = 1 for LQ games)."""
-    v, b = _row_scale(game)
+def _coincides(game, x: np.ndarray, slack: float) -> tuple[bool, float]:
+    """Whether ``||(M_soc - M_ne) x||_inf`` and -min x are at most ``slack`` at the interior
+    Nash equilibrium x, and that norm: ``||v*(G^T x)||_inf``, v the row scale of ``_system``."""
+    v = _row_scale(game)[0]
     gtx = game.adjacency.g.T @ x
     residual_orth = _norm_inf(gtx if v is None else v * gtx)
-    holds = residual_orth <= tol * (1.0 + _norm_inf(b)) and bool(np.min(x) >= -TOL_NONNEG)
-    return holds, residual_orth
+    return residual_orth <= slack and bool(np.min(x) >= -slack), residual_orth
 
 
 def _nash_gate_from_social(m: np.ndarray, social_max: float) -> bool:
@@ -157,8 +156,8 @@ def check_coincidence(
 
     Both systems come from ``_system`` with one b, so they coincide at x exactly when
     (M_soc - M_ne) x = 0: G^T x = 0 in an LQ game, diag(1-d) G^T x = 0 in a public-goods
-    game (``_coincides``).  Holds when its sup norm is at most ``tol*(1+||b||_inf)`` and x
-    is nonnegative; ValueError unless ``0 < tol < inf``.  ``social_gap`` is the sup
+    game (``_coincides``).  Holds when its sup norm is at most ``tol*||b||_inf`` and no x_i
+    is below its negative; ValueError unless ``0 < tol < inf``.  ``social_gap`` is the sup
     distance to the interior social optimum wherever M_soc is nonsingular.  x and that
     optimum are those of ``solve_ne_interior`` and ``solve_social_interior`` (or
     ``solve_ne_pg`` and ``solve_social_pg``), bit for bit.
@@ -169,11 +168,10 @@ def check_coincidence(
     where M is solved from its own factor, and in a public-goods game, whose row scale
     diag(1-d) breaks sym(M) = (I + S)/2, M proves its own gate.
     """
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
     if not isinstance(game, (NetworkGame, PublicGoodsGame)):
         raise ValueError(f"expected a NetworkGame or PublicGoodsGame, got {type(game).__name__}")
     m, b = _system(game, "social")
+    slack = _slack(tol, b)
     target = DEFAULT_TOL * (1.0 + _norm_inf(b))  # the target of the interior and pg solvers
     y, proven = None, False
     with contextlib.suppress(SingularSystem):
@@ -182,7 +180,7 @@ def check_coincidence(
     m = _system(game, "ne")[0]  # S is no longer needed: one n x n system at a time
     proven = proven and isinstance(game, NetworkGame) and _nash_gate_from_social(m, social_max)
     x = _solve(m, b, target, proven)[0]
-    holds, residual_orth = _coincides(game, x, tol)
+    holds, residual_orth = _coincides(game, x, slack)
     return CoincidenceCheck(
         holds=holds,
         x=ActionProfile(x),
@@ -213,16 +211,18 @@ def potential_check(adjacency: AdjacencyMatrix, tol: float = 1e-12) -> bool:
 def symmetric_design(a, seed: int = 0, max_abs: float = 0.3) -> DesignSolution:
     """Random symmetric G with zero diagonal and Ga = 0, so x* = a exactly.
 
-    A Gaussian symmetric zero-diagonal W (upper triangle row-major from
-    ``seed``) is projected onto the kernel of ``C: W -> Wa`` in closed form,
-    through the n x n matrix C C^T, and rescaled to ``max_abs`` sup norm.
-    Singular values of C up to 1e-12 s_max count as zero, a cut relative to the
-    scale of a, so InfeasibleDesign (a trivial kernel) comes for n=2 with a != 0
-    or n=3 with every a_i != 0, unless a is that close to a vector with a zero.
+    A Gaussian symmetric zero-diagonal W (upper triangle row-major from ``seed``) is projected
+    onto the kernel of ``C: W -> Wa`` in closed form, through the n x n matrix C C^T, and
+    rescaled to ``max_abs`` sup norm.  Singular values of C up to 1e-12 s_max count as zero, a
+    cut relative to the scale of a, so InfeasibleDesign (a trivial kernel) comes for n=2 with
+    a != 0 or n=3 with every a_i != 0, unless a is that close to a vector with a zero.
+    ValueError: a non-finite a, or ``max_abs`` not in (0, inf).
     """
     a = np.array(a, dtype=float)
     if a.ndim != 1 or a.size < 2:
         raise InfeasibleDesign("need at least two players")
+    if not np.all(np.isfinite(a)) or not 0.0 < max_abs < np.inf:
+        raise ValueError(f"need finite a and 0 < max_abs < inf, got max_abs={max_abs}")
     if np.min(a) < 0:
         raise InfeasibleDesign("x* = a must be nonnegative")
     n = a.size
@@ -343,20 +343,19 @@ def design_solve(
     steps every live start by one batched LU solve when the Jacobian is square
     (else by a stacked pseudo-inverse) and takes the first of 40 halvings that
     lowers the residual 2-norm, found from R's exact quadratic expansion and
-    confirmed on the true residual.  A start stops at residual
-    1e-13*(1+||a||_inf), after 80 iterations, or when no halving helps (it
-    keeps its iterate); a start whose step is not finite is dropped.
-    Converged iterates with any x_i < -tol are excluded and counted in
-    diagnostics.  Distinct accepted branches (relative sup distance > 1e-4)
-    are returned in canonical order; raises NoSolutionFound when none survive,
-    and ValueError unless ``starts >= 1`` and ``0 < tol < inf``.
+    confirmed on the true residual.  A start stops at residual 1e-13*||a||_inf, after 80
+    iterations, or when no halving helps (it keeps its iterate); a start whose step is not
+    finite is dropped.  Converged iterates (residual at most tol*||a||_inf, ``games._slack``)
+    with any x_i below -tol*||a||_inf are excluded and counted in diagnostics.  Distinct
+    accepted branches (relative sup distance > 1e-4) are returned in canonical order; raises
+    NoSolutionFound when none survive, and ValueError unless ``starts >= 1`` and ``0 < tol < inf``.
     """
-    if starts < 1 or not 0.0 < tol < np.inf:
-        raise ValueError(f"need starts >= 1 and 0 < tol < inf, got starts={starts}, tol={tol}")
+    if starts < 1:
+        raise ValueError(f"need starts >= 1, got {starts}")
     n, a, m = problem.n, problem.a, len(problem.free)
+    slack, hard_tol = _slack(tol, a), _slack(1e-13, a)
     build_g, residual, jacobian, free_terms, step = _bilinear_system(problem)
     halvings = 0.5 ** np.arange(40)
-    hard_tol = 1e-13 * (1.0 + _norm_inf(a))
     x_hi = float(np.max(a)) if float(np.max(a)) > 0 else 1.0
 
     def polish(u):
@@ -403,8 +402,8 @@ def design_solve(
         u, r, its = polish(rng.uniform(lo, hi, (starts, n + m)))
         res = np.max(np.abs(r), axis=1)
         best = min(best, float(np.min(res, initial=np.inf)))
-        ok = res <= tol
-        negative = ok & (np.min(u[:, :n], axis=1) < -tol)
+        ok = res <= slack
+        negative = ok & (np.min(u[:, :n], axis=1) < -slack)
         accepted = list(u[ok & ~negative])
         rejected += int(np.sum(negative))
         converged += int(np.sum(ok))

@@ -22,14 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MaxItersExceeded, SingularSystem, StepSelectionFailed
-from .games import (
-    TOL_NONNEG,
-    ActionProfile,
-    NetworkGame,
-    PublicGoodsGame,
-    _system,
-    profile_vector,
-)
+from .games import ActionProfile, NetworkGame, PublicGoodsGame, _slack, _system, profile_vector
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100_000
@@ -71,7 +64,7 @@ class EquilibriumResult:
     kind: str
     stationarity_residual: float
     complementarity_residual: float
-    interior: bool
+    interior: bool  # every x_i > tol*||b||_inf (``games._slack``), tol the solver's
 
 
 def _norm_inf(v) -> float:
@@ -252,13 +245,13 @@ def _inverse_solve(m: np.ndarray, b: np.ndarray, residual_target: float):
     return (np.where(ok[..., None], x[..., 0], np.nan), ok) if m.ndim > 2 else x[..., 0]
 
 
-def _result(x, kind, stationarity, complementarity=0.0) -> EquilibriumResult:
+def _result(x, kind, slack, stationarity, complementarity=0.0) -> EquilibriumResult:
     return EquilibriumResult(
         x=ActionProfile(x),
         kind=kind,
         stationarity_residual=stationarity,
         complementarity_residual=complementarity,
-        interior=bool(np.all(x > TOL_NONNEG)),
+        interior=bool(np.all(x > slack)),
     )
 
 
@@ -267,8 +260,9 @@ def _solve_system(game, which: str, kind: str, tol: float = DEFAULT_TOL) -> Equi
     if kind.startswith("pg-") != isinstance(game, PublicGoodsGame):
         raise ValueError(f"a {kind} solve cannot take a {type(game).__name__}")
     m, b = _system(game, which)
+    slack = _slack(tol, b)
     x = solve_linear(m, b, tol * (1.0 + _norm_inf(b)))
-    return _result(x, kind, _norm_inf(m @ x - b))
+    return _result(x, kind, slack, _norm_inf(m @ x - b))
 
 
 def solve_ne_interior(game: NetworkGame) -> EquilibriumResult:
@@ -303,27 +297,25 @@ def solve_vi(
     starting from the basis implied by ``x0`` (default: the origin).  Until a
     basis point (bounds held, ``x_F = M_FF^-1 (a_F - M_FB x_B)`` by one
     solve_linear) has no violator, the lowest-indexed one flips: a free player
-    beyond tol*(1+||a||) outside [0, ub] goes to the bound it crossed, one at 0
+    beyond tol*||a||_inf outside [0, ub] goes to the bound it crossed, one at 0
     with F_i < 0 or at ub with F_i > 0 becomes free.  A P-matrix M gives a
     unique solution for every a (Cottle, Pang & Stone 1992, Thm 3.3.7), reached
     on the orthant without revisiting a basis (Murty 1974).
 
-    On success x is that point clipped into X: F_i >= 0 at 0, F_i <= 0 at ub,
-    |F_i| <= tol*(1+||a_F - M_FB x_B||) when free, and (s*a, s*ub, s*x0) gives
-    s*x for s > 0.  StepSelectionFailed: a basis recurs or a free block is singular
-    (never on the orthant for a P-matrix); MaxItersExceeded: ``max_iters`` solves.
+    On success x is that point clipped into X: F_i >= 0 at 0, F_i <= 0 at ub, |F_i| <=
+    tol*(1+||a_F - M_FB x_B||) when free, and (s*a, s*ub, s*x0) gives s*x for s > 0.
+    StepSelectionFailed: a basis recurs or a free block is singular (never on the orthant
+    for a P-matrix); MaxItersExceeded: ``max_iters`` solves; ValueError: tol not in (0, inf).
     """
     if not isinstance(game, NetworkGame):
         raise ValueError(f"solve_vi expects a NetworkGame, got {type(game).__name__}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     m, a = _system(game, which)
+    slack = _slack(tol, a)  # a free player beyond this outside X leaves
     ub = game.upper_bound
     hi = np.inf if ub is None else ub
     x = np.clip(np.zeros(game.n) if x0 is None else profile_vector(x0, game.n), 0.0, ub)
     state = np.where(x <= 0.0, _AT_ZERO, np.where(x >= hi, _AT_UB, _FREE)).astype(np.int8)
     solved = not np.any(state == _FREE)  # a start with free players must solve them first
-    slack = tol * (1.0 + _norm_inf(a))  # a free player beyond this outside X leaves
     visited = set()
     for _ in range(max_iters):
         f = m @ x - a
@@ -334,7 +326,7 @@ def solve_vi(
         )
         if (solved or visited) and not violators.size:
             x = np.clip(x, 0.0, ub)  # a free player may sit a rounding error outside X
-            return _result(x, f"constrained-{which}", *_vi_residual(x, m @ x - a, ub))
+            return _result(x, f"constrained-{which}", slack, *_vi_residual(x, m @ x - a, ub))
         if violators.size:
             i = violators[0]
             state[i] = _FREE if state[i] != _FREE else _AT_ZERO if x[i] < 0.0 else _AT_UB
@@ -368,5 +360,6 @@ def solve_ne_pg(game: PublicGoodsGame, tol: float = DEFAULT_TOL) -> EquilibriumR
 
 def solve_social_pg(game: PublicGoodsGame, tol: float = DEFAULT_TOL) -> EquilibriumResult:
     """Public-goods social optimum: the linear system ``(I + diag(1-d)(G + G^T)) y = c +
-    d*theta`` of ``_system``."""
+    d*theta`` of ``_system``.  It minimizes ``social_cost`` only for constant d, where it
+    is that cost's stationarity condition (``grad_W``)."""
     return _solve_system(game, "social", "pg-social", tol)

@@ -19,9 +19,6 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-# Slack allowed on nonnegativity of solver-produced actions (solver-noise scale).
-TOL_NONNEG = 1e-9
-
 
 def _as_square_matrix(values) -> np.ndarray:
     m = np.array(values, dtype=float)
@@ -182,6 +179,15 @@ def _row_scale(game) -> tuple[np.ndarray | None, np.ndarray]:
     return None, game.a
 
 
+def _slack(tol: float, b: np.ndarray, power: int = 1) -> float:
+    """Margin ``tol*||b||_inf**power`` of every verdict, b of ``_system`` (power 2 for costs),
+    so none depends on units and b = 0 is exact; ValueError unless 0 < tol < inf.  Residual
+    targets of ``solve_linear`` keep the floor tol*(1+||b||_inf): they stop refinement only."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    return tol * float(np.abs(b).max()) ** power
+
+
 def _system(game, which: str) -> tuple[np.ndarray, np.ndarray]:
     """``(M, b)`` of ``F(x) = Mx - b`` (module docstring), S = G ("ne") or G+G^T ("social")."""
     if which not in ("ne", "social"):
@@ -239,6 +245,7 @@ def grad_F(game: NetworkGame | PublicGoodsGame, x) -> np.ndarray:
 def grad_W(game: NetworkGame | PublicGoodsGame, x) -> np.ndarray:
     """Social first-order map of ``_system``: (I+G+G^T)x - a, the gradient of ``social_cost``;
     in a public-goods game (I + diag(1-d)(G+G^T))x - (c + d*theta), which ``solve_social_pg``
-    zeroes."""
+    zeroes.  That is the gradient of ``social_cost`` only for constant d: in general it is
+    (I + diag(1-d) G + G^T diag(1-d))x - (c + d*theta)."""
     m, b = _system(game, "social")
     return m @ profile_vector(x, game.n) - b

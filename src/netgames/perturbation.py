@@ -20,7 +20,7 @@ import numpy as np
 
 from .certificates import _rowsum_norm, _spectral_norm
 from .errors import InsufficientData, NoConvergence
-from .games import TOL_NONNEG, AdjacencyMatrix, NetworkGame, _social_cost
+from .games import AdjacencyMatrix, NetworkGame, _slack, _social_cost
 from .equilibrium import DEFAULT_TOL, _norm_inf, solve_linear, solve_vi
 
 CSV_HEADER = ("delta", "social_cost", "feasible", "min_x", "spectral_margin", "status")
@@ -117,13 +117,13 @@ def _norms(v: np.ndarray) -> np.ndarray:
 def sweep(config: SweepConfig) -> SweepReport:
     """Solve the perturbed game at every grid point and assemble the report.
 
-    Interior rows meet the residual target and rcond gate of
-    ``solve_ne_interior`` and are infeasible when the un-clamped solution has
-    a negative component.  Constrained rows are feasible when they solve; each
-    pivots from the basis of the previous "ok" row, else from the origin, so
-    where the LCP has several solutions (I+G not a P-matrix) the row reports
-    the one continued from the previous row.  A failed row ("singular" or
-    "no-convergence") has no solution, is infeasible, and the sweep goes on.
+    Interior rows meet the residual target and rcond gate of ``solve_ne_interior`` and
+    are infeasible when the un-clamped solution has a component below -DEFAULT_TOL*||a||_inf
+    (``games._slack``).  Constrained rows are feasible when they solve; each pivots from the
+    basis of the previous "ok" row, else from the origin, so where the LCP has several
+    solutions (I+G not a P-matrix) the row reports the one continued from the previous row.
+    A failed row ("singular" or "no-convergence") has no solution, is infeasible, and the
+    sweep goes on.
     """
     base, pattern, grid = config.base_game, config.delta_pattern, config.delta_grid
     g0, a, n = base.adjacency.g, base.a, base.n
@@ -148,7 +148,7 @@ def sweep(config: SweepConfig) -> SweepReport:
     xs.setflags(write=False)
     min_x = np.min(xs, axis=1)  # nan on a failed row, >= 0 on a solved constrained one
     status = np.where(ok, "ok", "singular" if config.solver == "interior" else "no-convergence")
-    columns = (cost, min_x >= -TOL_NONNEG, min_x, spectral, rowsum, status)
+    columns = (cost, min_x >= -_slack(DEFAULT_TOL, a), min_x, spectral, rowsum, status)
     rows = tuple(
         SweepRow(delta, x if solved else None, *values)
         for delta, x, solved, *values in zip(grid.tolist(), xs, ok, *(c.tolist() for c in columns))

@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .games import AdjacencyMatrix, NetworkGame, _as_vector
+from .games import AdjacencyMatrix, NetworkGame, _as_vector, _slack
 from .design import RANK_TOL, _coincides, _singularity
 from .equilibrium import DEFAULT_TOL, _norm_inf, solve_ne_interior
 from .errors import SingularSystem
@@ -148,9 +148,9 @@ def coincidence_feasibility_scan(
 ) -> ScanCounts:
     """Count singular samples and samples whose NE coincides with the optimum.
 
-    Samples where (I+G) is numerically singular cannot be checked and count
-    as non-coincident.  Each sample is drawn and decomposed once: ``stats``
-    holds the ``singularity_stats`` of the same samples.
+    Samples where (I+G) is numerically singular cannot be checked and count as
+    non-coincident.  Each sample is drawn and decomposed once: ``stats`` holds the
+    ``singularity_stats`` of the same samples.  ValueError unless 0 < tol < inf.
     """
     return _scan(config, _as_vector(a, config.n, "a"), tol, rank_tol)
 
@@ -160,7 +160,8 @@ def _scan(config: ErConfig, a, tol: float, rank_tol: float) -> ScanCounts:
 
     Any x from ``solve_ne_interior`` has ``(I+G)x = a + e`` with ``||e||_inf <= r =
     DEFAULT_TOL(1+||a||_inf)``.  The sample is not coincident, and is not solved, where a lower
-    bound on ``||G^T x||_inf`` exceeds ``tol(1+||a||_inf)``.  Two bounds serve:
+    bound on ``||G^T x||_inf`` exceeds ``tol(1+||a||_inf)`` >= ``tol*||a||_inf``, the verdict's
+    margin (``games._slack``).  Two bounds serve:
     ``s_min ||x||_2/sqrt(n)`` with ``||x||_2 >= (||a||_2 - sqrt(n) r)/(1+s_max)``; and, for
     G = G^T, ``||Gx||_2/sqrt(n)`` with ``||Gx||_2 >= (||Ga||_2 - s_max sqrt(n) r)/(1+s_max)``,
     since G commutes with I+G and so ``(I+G)Gx = G(a+e)``.  The second needs no s_min and so
@@ -171,7 +172,7 @@ def _scan(config: ErConfig, a, tol: float, rank_tol: float) -> ScanCounts:
     """
     n, c = config.n, 2.0 * config.n**2 * np.finfo(float).eps
     if a is not None:
-        unit = a / (1.0 + _norm_inf(a))
+        slack, unit = _slack(tol, a), a / (1.0 + _norm_inf(a))
         size, root_r = np.linalg.norm(unit), np.sqrt(n) * DEFAULT_TOL
         reach, radius = size - root_r, (1.0 + c) * root_r + c * size
     min_svs, n_singular, n_coincident = [], 0, 0
@@ -193,7 +194,7 @@ def _scan(config: ErConfig, a, tol: float, rank_tol: float) -> ScanCounts:
                 continue
         game = NetworkGame(AdjacencyMatrix(g), a)
         try:
-            if _coincides(game, solve_ne_interior(game).x.x, tol)[0]:
+            if _coincides(game, solve_ne_interior(game).x.x, slack)[0]:
                 n_coincident += 1
         except SingularSystem:
             pass

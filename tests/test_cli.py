@@ -470,6 +470,36 @@ class TestIrCheck:
         assert doc["all_rational"] is True
 
 
+class TestScale:
+    """The four-player example with a = 1e-12: every verdict reads as at a = 1."""
+
+    TINY = {**FOUR_PLAYER_GAME, "a": [1e-12] * 4}
+
+    def test_solve_is_interior(self, game_file, capsys):
+        code, out, _ = run_cli(capsys, "solve", "--game", game_file(self.TINY))
+        assert code == 0
+        assert json.loads(out)["interior"] is True
+
+    def test_ir_check_takes_the_interior_equilibrium(self, game_file, capsys):
+        code, out, _ = run_cli(capsys, "ir-check", "--game", game_file(self.TINY))
+        assert code == 0
+        assert json.loads(out)["kind"] == "interior-ne"
+
+    def test_perturb_feasibility_matches_unit_scale(self, game_file, tmp_path, capsys):
+        ppath = tmp_path / "pattern.json"
+        ppath.write_text(json.dumps(README_PATTERN))
+        columns = []
+        for doc in (FOUR_PLAYER_GAME, self.TINY):
+            code, out, _ = run_cli(
+                capsys, "perturb", "--game", game_file(doc), "--pattern", str(ppath),
+                "--from", "-0.6", "--to", "0.6", "--steps", "121",
+            )
+            assert code == 0
+            columns.append([row.split(",")[2] for row in out.strip().splitlines()[1:]])
+        assert columns[0] == columns[1]
+        assert "true" in columns[0] and "false" in columns[0]
+
+
 def test_main_builds_its_parser_once(game_file, capsys):
     from netgames import cli
 

@@ -117,7 +117,7 @@ def reference_design_branches(problem, starts, tol=1e-8, seed=0):
             jac[n + q, n + k] = x[p]
         return jac
 
-    hard_tol = 1e-13 * (1.0 + sup(a))
+    hard_tol, slack = 1e-13 * sup(a), tol * sup(a)
     x_hi = float(np.max(a)) if float(np.max(a)) > 0 else 1.0
 
     def run_sweep(box):
@@ -126,7 +126,7 @@ def reference_design_branches(problem, starts, tol=1e-8, seed=0):
         for _ in range(starts):
             u0 = np.concatenate([rng.uniform(0.0, x_hi, n), rng.uniform(-box, box, m)])
             u = reference_newton_polish(residual, jacobian, u0, hard_tol)
-            if u is not None and sup(residual(u)) <= tol and float(np.min(u[:n])) >= -tol:
+            if u is not None and sup(residual(u)) <= slack and float(np.min(u[:n])) >= -slack:
                 accepted.append(u)
         return accepted
 
@@ -386,6 +386,16 @@ class TestSymmetricDesign:
     def test_two_player_infeasible(self):
         with pytest.raises(InfeasibleDesign):
             symmetric_design(np.array([1.0, 2.0]), seed=0)
+
+    @pytest.mark.parametrize(
+        "a, max_abs",
+        [([1.0, np.nan, 1.0, 1.0], 0.3), ([1.0, np.inf, 1.0, 1.0], 0.3), (np.ones(4), -1.0),
+         (np.ones(4), 0.0), (np.ones(4), np.nan), (np.ones(4), np.inf)],
+    )
+    def test_invalid_inputs_raise_value_error(self, a, max_abs):
+        # nan used to end in LinAlgError, inf in a RuntimeWarning, and max_abs=-1 flipped G's sign
+        with pytest.raises(ValueError, match="need finite a"):
+            symmetric_design(a, seed=0, max_abs=max_abs)
 
     def test_costs_coincide_by_construction(self):
         rng = np.random.default_rng(71)

@@ -600,6 +600,12 @@ class TestSolveVi:
         with pytest.raises(ValueError):
             solve_vi(game, which="other")
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # tol=nan used to raise StepSelectionFailed
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            solve_vi(lq(EX3_G, EX3_A), tol=tol)
+
     @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_p_matrix_games_match_enumeration(self, data):
@@ -653,6 +659,23 @@ def test_p_matrix_solution_scales_with_the_data(scalable_p_games, k):
         for start in (None, s * x0):
             eq = solve_vi(game, which=which, x0=start)
             assert np.max(np.abs(eq.x.x - s * x)) <= 1e-8 * (1.0 + s * np.max(np.abs(a)))
+
+
+def pg_game(d):
+    """Seeded 3-player public-goods game with demand slopes d."""
+    rng = np.random.default_rng(26)
+    g = rng.uniform(-0.3, 0.3, (3, 3))
+    np.fill_diagonal(g, 0.0)
+    return PublicGoodsGame(AdjacencyMatrix(g), rng.uniform(0.0, 1.0, 3),
+                           GammaFamily.affine(rng.uniform(0.5, 1.5, 3), d))
+
+
+@pytest.mark.parametrize("solve", [solve_ne_pg, solve_social_pg])
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_pg_tol_must_be_positive_and_finite(solve, tol):
+    # tol=-1 and tol=nan used to raise SingularSystem
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        solve(pg_game(np.full(3, 0.3)), tol=tol)
 
 
 class TestSolveNePg:
@@ -724,6 +747,15 @@ class TestSolveSocialPg:
         np.testing.assert_allclose(
             solve_social_pg(pg).x.x, solve_ne_pg(pg).x.x, rtol=0, atol=1e-12
         )
+
+    def test_minimizes_social_cost_for_a_constant_demand_slope(self):
+        # the social map (I + diag(1-d)(G+G^T))y = c + d*theta is the gradient of
+        # social_cost only for constant d; a varying d is an open defect of the model
+        pg = pg_game(np.full(3, 0.3))
+        y, h = solve_social_pg(pg).x.x, 1e-5
+        grad = [(social_cost(pg, y + h * e) - social_cost(pg, y - h * e)) / (2 * h)
+                for e in np.eye(3)]
+        assert np.max(np.abs(grad)) <= 1e-8
 
     def test_game_of_the_other_kind_is_a_typed_error(self):
         game = lq(np.zeros((2, 2)), np.ones(2))

@@ -27,7 +27,6 @@ from netgames import (
 )
 from netgames import perturbation
 from netgames.equilibrium import RCOND_MIN
-from netgames.games import TOL_NONNEG
 from netgames.perturbation import _BLOCK_ENTRIES, SweepRow, write_csv
 
 # Perturbation direction used in the 4-player robustness example:
@@ -66,7 +65,7 @@ def reference_sweep_rows(config):
         try:
             if config.solver == "interior":
                 x = solve_ne_interior(game).x.x
-                feasible = bool(np.min(x) >= -TOL_NONNEG)
+                feasible = bool(np.min(x) >= -1e-10 * np.max(np.abs(base.a)))
             else:
                 x = solve_vi(game, which="ne").x.x
                 feasible = True

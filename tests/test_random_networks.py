@@ -24,6 +24,7 @@ from netgames.random_networks import ScanCounts, SingularityStats
 def reference_scan(config, a, tol=1e-8, rank_tol=RANK_TOL):
     """The scan with one SVD and one coincidence solve on every sample."""
     a = np.asarray(a, dtype=float)
+    slack = tol * np.max(np.abs(a))  # the verdict's margin, games._slack
     min_svs, n_singular, n_coincident = [], 0, 0
     for adjacency in sample_er(config):
         sv, singular = _singularity(adjacency.g, rank_tol)
@@ -31,7 +32,7 @@ def reference_scan(config, a, tol=1e-8, rank_tol=RANK_TOL):
         n_singular += singular
         game = NetworkGame(adjacency, a)
         try:
-            n_coincident += _coincides(game, solve_ne_interior(game).x.x, tol)[0]
+            n_coincident += _coincides(game, solve_ne_interior(game).x.x, slack)[0]
         except SingularSystem:
             pass
     stats = SingularityStats(n_singular / config.samples, float(np.mean(min_svs)))
@@ -234,6 +235,13 @@ class TestCoincidenceScan:
                 expected += holds
             assert coincidence_feasibility_scan(config, a, tol=1e-8).coincident == expected
         assert outcomes == {True, False, "singular"}
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # tol=inf used to count 4 of these 5 samples coincident (none at 1e-8)
+        config = ErConfig(n=4, p=0.3, samples=5, seed=1)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            coincidence_feasibility_scan(config, np.ones(4), tol=tol)
 
 
 class TestScanSkip:

@@ -13,6 +13,7 @@ from netgames import (
     NotAnEquilibrium,
     PublicGoodsGame,
     cost_lq,
+    four_player_symmetric_example,
     ir_check,
     solve_ne_interior,
     solve_ne_pg,
@@ -104,6 +105,15 @@ def test_pg_equilibrium_rational():
     assert report.all_rational
     for p in report.players:
         assert p.cost_at_eq <= 0.0
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_tol_must_be_positive_and_finite(tol):
+    # x = 5 has residual 4 on the four-player design: nan and inf used to accept it
+    game = four_player_symmetric_example()
+    eq = EquilibriumResult(ActionProfile(np.full(4, 5.0)), "interior-ne", 4.0, 0.0, True)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        ir_check(game, eq, tol=tol)
 
 
 def test_kind_game_mismatch_rejected():
