@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InfeasibleDesign, NoSolutionFound, SingularSystem
 from .games import ActionProfile, AdjacencyMatrix, NetworkGame, PublicGoodsGame
 from .games import _as_vector, _row_scale, _slack, _system
-from .equilibrium import DEFAULT_TOL, RCOND_MIN, _norm_inf, _solve
+from .equilibrium import DEFAULT_TOL, RCOND_MIN, _first_order, _norm_inf, _solve
 
 DESIGN_TOL = 1e-8
 RANK_TOL = 1e-10
@@ -51,16 +51,14 @@ class DesignProblem:
         a = _as_vector(self.a, self.n, "a")
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
-        fixed = tuple((int(i), int(j), float(v)) for i, j, v in self.fixed)
-        free = tuple((int(i), int(j)) for i, j in self.free)
+        fixed = tuple((*self._position("fixed", (i, j, v)), float(v)) for i, j, v in self.fixed)
+        free = tuple(self._position("free", (i, j)) for i, j in self.free)
         seen = set()
         for i, j, v in fixed:
-            self._check_pos(i, j)
             if not np.isfinite(v):
                 raise ValueError(f"fixed entry ({i},{j}) must be finite")
             seen.add((i, j))
         for i, j in free:
-            self._check_pos(i, j)
             if (i, j) in seen:
                 raise ValueError(f"position ({i},{j}) is both fixed and free")
             if free.count((i, j)) > 1:
@@ -68,11 +66,13 @@ class DesignProblem:
         object.__setattr__(self, "fixed", fixed)
         object.__setattr__(self, "free", free)
 
-    def _check_pos(self, i, j):
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise ValueError(f"position ({i},{j}) out of range 1..{self.n}")
-        if i == j:
-            raise ValueError(f"diagonal position ({i},{j}) is always zero")
+    def _position(self, kind: str, entry: tuple) -> tuple[int, int]:
+        """(i, j) of a fixed or free ``entry``: integers (not booleans) in 1..n, i != j."""
+        i, j = entry[:2]
+        ok = all(float(k).is_integer() and not isinstance(k, (bool, np.bool_)) for k in (i, j))
+        if not (ok and 1 <= i <= self.n and 1 <= j <= self.n and i != j):
+            raise ValueError(f"{kind} entry {list(entry)}: want integers i != j in 1..{self.n}")
+        return int(i), int(j)
 
     def base_matrix(self) -> np.ndarray:
         g = np.zeros((self.n, self.n))
@@ -172,14 +172,13 @@ def check_coincidence(
         raise ValueError(f"expected a NetworkGame or PublicGoodsGame, got {type(game).__name__}")
     m, b = _system(game, "social")
     slack = _slack(tol, b)
-    target = DEFAULT_TOL * (1.0 + _norm_inf(b))  # the target of the interior and pg solvers
     y, proven = None, False
     with contextlib.suppress(SingularSystem):
-        y, proven = _solve(m, b, target)
+        y, proven = _solve(m, b, DEFAULT_TOL)  # the tol of the interior and pg solvers
     social_max = max(m.max(), -m.min())
     m = _system(game, "ne")[0]  # S is no longer needed: one n x n system at a time
     proven = proven and isinstance(game, NetworkGame) and _nash_gate_from_social(m, social_max)
-    x = _solve(m, b, target, proven)[0]
+    x = _solve(m, b, DEFAULT_TOL, proven)[0]
     holds, residual_orth = _coincides(game, x, slack)
     return CoincidenceCheck(
         holds=holds,
@@ -437,7 +436,7 @@ def design_solve(
             DesignSolution(
                 adjacency=game.adjacency,
                 x_star=ActionProfile(x),
-                residual_ne=_norm_inf(m_ne @ x - b_ne),
+                residual_ne=_norm_inf(_first_order(m_ne, x, b_ne)),
                 residual_orth=_norm_inf(game.adjacency.g.T @ x),
                 branch_id=branch_id,
             )

@@ -39,10 +39,7 @@ PROOF_MIN_N = 64  # solve_linear proves the rcond gate from this size on; below,
 #   proof + factor solve    0.48   0.71   1.16   1.48   1.93   4.54   21.3
 FACTOR_SOLVE_MIN_N = 200
 _SUBST_BLOCK = 32  # diagonal block of the blocked triangular substitution
-# Past the rcond gate every partial sum of M @ x is at most max|M| ||x||_1 <= ||M||_1
-# ||M^-1||_1 ||b||_1 <= n ||b||_inf / RCOND_MIN (x near M^-1 b: the factor 4 spares its
-# rounding), so no residual b - Mx can overflow while n ||b||_inf is at most this.
-_WIDE_B = np.finfo(float).max * RCOND_MIN / 4
+_WIDE_B = np.finfo(float).max * RCOND_MIN / 4  # the n ||b||_inf past which ``_wide`` scales
 
 INTERIOR_KINDS = ("interior-ne", "interior-social")
 CONSTRAINED_KINDS = ("constrained-ne", "constrained-social")
@@ -132,11 +129,6 @@ def _gate_factor(m: np.ndarray, symmetric: bool = False):
     return None
 
 
-def _gate_proven(m: np.ndarray) -> bool:
-    """Whether a Cholesky factor of the shifted symmetric part proves rcond_1(M) >= RCOND_MIN."""
-    return _gate_factor(m) is not None
-
-
 def _factor_solve(m, factor, b, residual_target):
     """x from the proof's factor of a symmetric M, or None where refinement misses the target.
 
@@ -168,60 +160,73 @@ def _factor_solve(m, factor, b, residual_target):
     return None
 
 
-def _solve(m: np.ndarray, b: np.ndarray, residual_target: float, proven: bool = False):
-    """``solve_linear`` on one matrix, ``proven`` saying the gate is known to hold.
+def _wide(m: np.ndarray, b_norm) -> tuple[int, int] | None:
+    """``(e, s)`` where n ``b_norm`` = n ||b||_inf passes _WIDE_B, else None.  Up to it, past the
+    rcond gate, no partial sum of Mx passes max|M| ||x||_1 <= n ||b||_inf / RCOND_MIN (the 4 spares
+    rounding).  Past it M/2^e and b/2^s, 2^e and 2^s the least powers of two above max|M| and
+    ||b||_inf, solve for 2^(e-s) x and give 2^-s F(x) finitely, exact but where one underflows."""
+    if b_norm <= _WIDE_B / m.shape[-1]:
+        return None
+    return math.frexp(max(m.max(), -m.min()))[1], math.frexp(b_norm)[1]
 
-    Returns x and whether the gate was proven, by a factor here or by the caller.
-    """
-    n = m.shape[-1]
-    if np.abs(b).max() > _WIDE_B / n:  # 2^e the least power of two above max|M|: ``solve_linear``
-        e = math.frexp(max(m.max(), -m.min()))[1]
-        m, b, residual_target = np.ldexp(m, -e), np.ldexp(b, -e), math.ldexp(residual_target, -e)
+
+def _first_order(m: np.ndarray, x: np.ndarray, b: np.ndarray, wide=False) -> np.ndarray:
+    """F(x) = Mx - b, formed as ``_wide`` says (decided from b unless given) and scaled back."""
+    if (wide := _wide(m, _norm_inf(b)) if wide is False else wide) is None:
+        return m @ x - b
+    e, s = wide
+    return np.ldexp(np.ldexp(m, -e) @ np.ldexp(x, e - s) - np.ldexp(b, -s), s)
+
+
+def _solve(m: np.ndarray, b: np.ndarray, tol: float, proven: bool = False):
+    """``solve_linear`` on one matrix: x and whether the gate is proven, here or by the caller."""
+    n, b_norm = m.shape[-1], np.abs(b).max()
+    target, wide = tol * (1.0 + b_norm), _wide(m, b_norm)
+    if wide is not None:  # solve for 2^(e-s) x, scaled back on return
+        m, b, target = np.ldexp(m, -wide[0]), np.ldexp(b, -wide[1]), math.ldexp(target, -wide[1])
+    x = None
     if n >= PROOF_MIN_N:
         # the first row against the first column rejects most non-symmetric M in O(n)
         if n >= FACTOR_SOLVE_MIN_N and np.array_equal(m[0], m[:, 0]) and np.array_equal(m, m.T):
             factor = _gate_factor(m, symmetric=True)
             proven = proven or factor is not None
-            x = None if factor is None else _factor_solve(m, factor, b, residual_target)
-            if x is not None:
-                return x, True
+            x = None if factor is None else _factor_solve(m, factor, b, target)
         elif not proven:
-            proven = _gate_proven(m)
-        if proven:
+            proven = _gate_factor(m) is not None
+        if x is None and proven:
             x = np.linalg.solve(m, b)
-            if _norm_inf(b - m @ x) <= residual_target:
-                return x, True
-    return _inverse_solve(m, b, residual_target), proven
+            x = x if _norm_inf(b - m @ x) <= target else None
+    x = _inverse_solve(m, b, target) if x is None else x  # a factor or LU x has a proven gate
+    return (x if wide is None else np.ldexp(x, wide[1] - wide[0])), proven
 
 
-def solve_linear(m: np.ndarray, b: np.ndarray, residual_target: float):
-    """Dense solve of ``Mx = b`` behind the rcond gate of ``_inverse``.
+def solve_linear(m: np.ndarray, b: np.ndarray, tol: float):
+    """Dense solve of ``Mx = b`` to the residual target tol*(1+||b||_inf), gated as ``_inverse``.
 
-    From PROOF_MIN_N players on, the gate is first proven: with U = M/max|M| and
-    sigma = sqrt(n) ||U||_1 RCOND_MIN, a floating-point Cholesky factor L of U+U^T -
-    2(sigma + 2n^2 eps) I proves x^T U x >= sigma ||x||_2^2 for all x (2n^2 eps covers
-    the rounding of U, of the symmetric part and of the factorization: Rump, BIT 46,
-    2006), so sigma_min(U) >= sigma, ||U^-1||_1 <= sqrt(n) ||U^-1||_2 <= sqrt(n)/sigma
-    and rcond_1(M) = 1/(||U||_1 ||U^-1||_1) >= RCOND_MIN.  From FACTOR_SOLVE_MIN_N on,
-    an exactly symmetric M is then solved from L (``_factor_solve``); any other M, or a
-    symmetric one whose refinement misses ``residual_target``, by one LU solve kept if
-    it meets the target.  Otherwise one inverse serves the gate, the solve and up to 5
-    refinement steps, and SingularSystem is raised where the gate or the target fails.
-    A proof only skips that inverse, so it never changes a verdict.  Where n ||b||_inf
-    passes ``_WIDE_B``, M, b and the target are first scaled by 2^-e, 2^e the least power
-    of two above max|M|: exact but where it underflows, so x and the verdict are the
-    unscaled system's, with no overflow in b - Mx.  A stack (..., n, n) returns ``(x,
-    ok)``, each member flagged (x nan, ok False) where alone it raises.
+    From PROOF_MIN_N players on, the gate is first proven: with U = M/max|M| and sigma =
+    sqrt(n) ||U||_1 RCOND_MIN, a floating-point Cholesky factor L of U+U^T - 2(sigma + 2n^2
+    eps) I proves x^T U x >= sigma ||x||_2^2 for all x (2n^2 eps covers the rounding of U, of
+    the symmetric part and of the factorization: Rump, BIT 46, 2006), so sigma_min(U) >=
+    sigma, ||U^-1||_1 <= sqrt(n) ||U^-1||_2 <= sqrt(n)/sigma and rcond_1(M) = 1/(||U||_1
+    ||U^-1||_1) >= RCOND_MIN.  From FACTOR_SOLVE_MIN_N on, an exactly symmetric M is then
+    solved from L (``_factor_solve``); any other M, or a symmetric one whose refinement misses
+    the target, by one LU solve kept if it meets the target.  Otherwise one inverse serves the
+    gate, the solve and up to 5 refinement steps, and SingularSystem is raised where the gate
+    or the target fails.  A proof only skips that inverse, so it never changes a verdict.  A
+    wide system (``_wide``) is solved scaled by powers of two, so x and the verdict are the
+    unscaled system's, with no overflow.  A stack (..., n, n) returns ``(x, ok)``, each member
+    with its own ||b||_inf and flagged (x nan, ok False) where alone it raises.
     """
     if m.ndim == 2:
-        return _solve(m, b, residual_target)[0]
-    if m.shape[-1] < PROOF_MIN_N and np.abs(b).max(initial=0.0) <= _WIDE_B / m.shape[-1]:
-        return _inverse_solve(m, b, residual_target)
+        return _solve(m, b, tol)[0]
+    b_norm = np.abs(b).max(axis=-1, initial=0.0)
+    if m.shape[-1] < PROOF_MIN_N and _wide(m, b_norm.max()) is None:
+        return _inverse_solve(m, b, tol * (1.0 + b_norm))
     b = np.broadcast_to(b, m.shape[:-1])  # a stacked inverse would save only call overhead
     x = np.full(b.shape, np.nan)
     for k in np.ndindex(m.shape[:-2]):
         with contextlib.suppress(SingularSystem):
-            x[k] = _solve(m[k], b[k], residual_target)[0]
+            x[k] = _solve(m[k], b[k], tol)[0]
     return x, ~np.isnan(x[..., 0])  # a solved member meets the target, so holds no nan
 
 
@@ -261,8 +266,8 @@ def _solve_system(game, which: str, kind: str, tol: float = DEFAULT_TOL) -> Equi
         raise ValueError(f"a {kind} solve cannot take a {type(game).__name__}")
     m, b = _system(game, which)
     slack = _slack(tol, b)
-    x = solve_linear(m, b, tol * (1.0 + _norm_inf(b)))
-    return _result(x, kind, slack, _norm_inf(m @ x - b))
+    x = solve_linear(m, b, tol)
+    return _result(x, kind, slack, _norm_inf(_first_order(m, x, b)))
 
 
 def solve_ne_interior(game: NetworkGame) -> EquilibriumResult:
@@ -310,7 +315,8 @@ def solve_vi(
     if not isinstance(game, NetworkGame):
         raise ValueError(f"solve_vi expects a NetworkGame, got {type(game).__name__}")
     m, a = _system(game, which)
-    slack = _slack(tol, a)  # a free player beyond this outside X leaves
+    # a free player beyond slack outside X leaves; one wide decision scales every F below
+    slack, wide = _slack(tol, a), _wide(m, _norm_inf(a))
     ub = game.upper_bound
     hi = np.inf if ub is None else ub
     x = np.clip(np.zeros(game.n) if x0 is None else profile_vector(x0, game.n), 0.0, ub)
@@ -318,7 +324,7 @@ def solve_vi(
     solved = not np.any(state == _FREE)  # a start with free players must solve them first
     visited = set()
     for _ in range(max_iters):
-        f = m @ x - a
+        f = _first_order(m, x, a, wide)
         violators = np.flatnonzero(
             (state == _FREE) & ((x < -slack) | (x > hi + slack))
             | (state == _AT_ZERO) & (f < 0.0)
@@ -326,7 +332,8 @@ def solve_vi(
         )
         if (solved or visited) and not violators.size:
             x = np.clip(x, 0.0, ub)  # a free player may sit a rounding error outside X
-            return _result(x, f"constrained-{which}", slack, *_vi_residual(x, m @ x - a, ub))
+            f = _first_order(m, x, a, wide)
+            return _result(x, f"constrained-{which}", slack, *_vi_residual(x, f, ub))
         if violators.size:
             i = violators[0]
             state[i] = _FREE if state[i] != _FREE else _AT_ZERO if x[i] < 0.0 else _AT_UB
@@ -337,12 +344,11 @@ def solve_vi(
         x = np.where(state == _AT_UB, hi, 0.0)
         fr = np.flatnonzero(state == _FREE)
         if fr.size:
-            rhs = a[fr] - m[fr] @ x
-            try:
-                x[fr] = solve_linear(m[np.ix_(fr, fr)], rhs, tol * (1.0 + _norm_inf(rhs)))
+            try:  # a_F - M_FB x_B is -F_F(x), the free entries of x at 0
+                x[fr] = solve_linear(m[np.ix_(fr, fr)], -_first_order(m[fr], x, a[fr], wide), tol)
             except SingularSystem as exc:
                 raise StepSelectionFailed(f"pivoting hit a singular free block: {exc}") from exc
-    res, comp = _vi_residual(x, m @ x - a, ub)
+    res, comp = _vi_residual(x, _first_order(m, x, a, wide), ub)
     raise MaxItersExceeded(
         f"no convergence in {max_iters} pivoting steps (residual {res:.3e})",
         best_x=ActionProfile(x),

@@ -181,11 +181,12 @@ def _row_scale(game) -> tuple[np.ndarray | None, np.ndarray]:
 
 def _slack(tol: float, b: np.ndarray, power: int = 1) -> float:
     """Margin ``tol*||b||_inf**power`` of every verdict, b of ``_system`` (power 2 for costs),
-    so none depends on units and b = 0 is exact; ValueError unless 0 < tol < inf.  Residual
-    targets of ``solve_linear`` keep the floor tol*(1+||b||_inf): they stop refinement only."""
+    so none depends on units and b = 0 is exact; inf only where the margin passes the largest
+    double.  ValueError unless 0 < tol < inf.  ``solve_linear`` owns the residual target."""
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    return tol * float(np.abs(b).max()) ** power
+    b_norm = float(np.abs(b).max())
+    return tol * b_norm * (b_norm if power == 2 else 1.0)
 
 
 def _system(game, which: str) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ import numpy as np
 from .certificates import _rowsum_norm, _spectral_norm
 from .errors import InsufficientData, NoConvergence
 from .games import AdjacencyMatrix, NetworkGame, _slack, _social_cost
-from .equilibrium import DEFAULT_TOL, _norm_inf, solve_linear, solve_vi
+from .equilibrium import DEFAULT_TOL, solve_linear, solve_vi
 
 CSV_HEADER = ("delta", "social_cost", "feasible", "min_x", "spectral_margin", "status")
 _BLOCK_ENTRIES = 2**20  # of a block's (K, n, n) stack: ceil(2^20 / n^2) points, O(n^2) at large n
@@ -132,7 +132,7 @@ def sweep(config: SweepConfig) -> SweepReport:
     for lo in range(0, grid.size, block):
         gs = g0 + grid[lo : lo + block, None, None] * pattern
         if config.solver == "interior":  # M = I + G(delta) as games._system builds it
-            xs, ok = solve_linear(np.eye(n) + gs, a, DEFAULT_TOL * (1.0 + _norm_inf(a)))
+            xs, ok = solve_linear(np.eye(n) + gs, a, DEFAULT_TOL)
         else:
             xs, ok = np.full((len(gs), n), np.nan), np.zeros(len(gs), dtype=bool)
             for k, g in enumerate(gs):

@@ -158,10 +158,10 @@ def coincidence_feasibility_scan(
 def _scan(config: ErConfig, a, tol: float, rank_tol: float) -> ScanCounts:
     """One pass over the samples: one SVD each, plus a coincidence test unless a is None.
 
-    Any x from ``solve_ne_interior`` has ``(I+G)x = a + e`` with ``||e||_inf <= r =
-    DEFAULT_TOL(1+||a||_inf)``.  The sample is not coincident, and is not solved, where a lower
-    bound on ``||G^T x||_inf`` exceeds ``tol(1+||a||_inf)`` >= ``tol*||a||_inf``, the verdict's
-    margin (``games._slack``).  Two bounds serve:
+    Any x from ``solve_ne_interior`` meets the residual target of ``solve_linear``: ``(I+G)x =
+    a + e`` with ``||e||_inf <= r = DEFAULT_TOL(1+||a||_inf)``.  The sample is not coincident,
+    and is not solved, where a lower bound on ``||G^T x||_inf`` exceeds ``tol(1+||a||_inf)`` >=
+    ``tol*||a||_inf``, the verdict's margin (``games._slack``).  Two bounds serve:
     ``s_min ||x||_2/sqrt(n)`` with ``||x||_2 >= (||a||_2 - sqrt(n) r)/(1+s_max)``; and, for
     G = G^T, ``||Gx||_2/sqrt(n)`` with ``||Gx||_2 >= (||Ga||_2 - s_max sqrt(n) r)/(1+s_max)``,
     since G commutes with I+G and so ``(I+G)Gx = G(a+e)``.  The second needs no s_min and so

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DimensionMismatch, NotAnEquilibrium
 from .games import NetworkGame, PublicGoodsGame, _costs, _slack, _system
 from .equilibrium import CONSTRAINED_KINDS, INTERIOR_KINDS, NE_KINDS, PG_KINDS, EquilibriumResult
-from .equilibrium import _norm_inf, _vi_residual
+from .equilibrium import _first_order, _norm_inf, _vi_residual
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,8 @@ def _residual_for(game, eq: EquilibriumResult) -> tuple[float, np.ndarray]:
         raise ValueError(f"unknown equilibrium kind {eq.kind!r}")
     m, b = _system(game, "ne" if eq.kind in NE_KINDS else "social")
     if eq.kind in CONSTRAINED_KINDS:
-        return _vi_residual(x, m @ x - b, game.upper_bound)[0], b
-    return _norm_inf(m @ x - b), b
+        return _vi_residual(x, _first_order(m, x, b), game.upper_bound)[0], b
+    return _norm_inf(_first_order(m, x, b)), b
 
 
 def ir_check(game, eq: EquilibriumResult, tol: float = 1e-8) -> IrReport:

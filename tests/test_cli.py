@@ -228,6 +228,16 @@ class TestDesign:
         assert flag[0] in err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_non_integer_positions_exit_1(self, tmp_path, capsys):
+        # int() coercion used to load (1, 2), (1, 3) fixed and (2, 1) free, then exit 3
+        problem = {"n": 3, "a": [1.0, 2.0, 3.0], "fixed": [[1, 2.9, -2.0], [True, 3, 1.0]],
+                   "free": [[2.5, 1], [3, 2]]}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        code, out, err = run_cli(capsys, "design", "--problem", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "fixed entry [1, 2.9, -2.0]" in err
+
 
 class TestCertify:
     def test_reports_six_certificates(self, game_file, capsys):
@@ -525,3 +535,35 @@ def test_runtime_imports_no_scipy():
         env=env,
     ).stdout
     assert out.strip() == "[]"
+
+
+def strict_json(text):
+    """``json.loads`` that rejects the NaN and Infinity constants standard JSON lacks."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+README_PROBLEM = {"n": 3, "a": [1.0, 2.0, 3.0], "fixed": [[1, 2, -2.0], [3, 1, -3.0], [2, 3, 2.0]],
+                  "free": [[2, 1], [1, 3], [3, 2]]}
+README_PG_GAME = {"n": 2, "g": [[0.0, 0.2], [0.1, 0.0]], "a": [1.0, 1.0], "theta": [0.0, 0.0],
+                  "gamma": {"c": [1.0, 1.0], "d": [0.5, 0.5]}}
+# n ||a||_inf passes the wide bound of the linear solver; its residual used to print Infinity
+WIDE_GAME = {"n": 2, "g": [[0, 10.9], [10.9, 0]], "a": [-1.683e308, 1.683e308]}
+
+
+@pytest.mark.parametrize(
+    "command, doc, flags",
+    [("solve", README_GAME, []), ("solve", README_GAME, ["--constrained"]),
+     ("solve", README_GAME, ["--kind", "social"]), ("solve", README_PG_GAME, []),
+     ("design", README_PROBLEM, []), ("certify", README_GAME, []),
+     ("certify", README_PG_GAME, []), ("ir-check", README_GAME, []),
+     ("ir-check", README_PG_GAME, []), ("solve", WIDE_GAME, []),
+     ("solve", WIDE_GAME, ["--kind", "social"])],
+)
+def test_json_output_is_standard(game_file, capsys, command, doc, flags):
+    option = "--problem" if command == "design" else "--game"
+    code, out, err = run_cli(capsys, command, option, game_file(doc), *flags)
+    assert code == 0 and err == ""
+    strict_json(out)

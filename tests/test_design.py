@@ -27,7 +27,7 @@ from netgames import (
     symmetric_design,
 )
 from netgames.design import DISTINCT_TOL, _bilinear_system, _nash_gate_from_social
-from netgames.equilibrium import FACTOR_SOLVE_MIN_N, PROOF_MIN_N, _gate_proven
+from netgames.equilibrium import FACTOR_SOLVE_MIN_N, PROOF_MIN_N, _gate_factor
 from netgames.games import _system
 
 EX3_G = np.array(
@@ -282,7 +282,7 @@ class TestCheckCoincidenceSharedProof:
         # G = 0.75(J - I): I+G+G^T = 1.5J - 0.5I is indefinite, I+G = 0.75J + 0.25I definite
         game = lq(0.75 * (np.ones((n, n)) - np.eye(n)), np.ones(n))
         m, s = (_system(game, w)[0] for w in ("ne", "social"))
-        assert not _gate_proven(s) and _gate_proven(m)
+        assert _gate_factor(s) is None and _gate_factor(m) is not None
         assert self.count_cholesky(monkeypatch, game) == 2
         check = self.assert_matches_the_solvers(game)
         assert np.isfinite(check.social_gap)
@@ -311,7 +311,7 @@ class TestCheckCoincidenceSharedProof:
             game = lq(t * k, rng.uniform(0.5, 1.5, n))
             m, s = (_system(game, w)[0] for w in ("ne", "social"))
             scalar.append(_nash_gate_from_social(m, np.max(np.abs(s))))
-            assert not scalar[-1] or _gate_proven(m)
+            assert not scalar[-1] or _gate_factor(m) is not None
             self.assert_matches_the_solvers(game)
         assert scalar[0] and not scalar[-1]
 
@@ -666,6 +666,21 @@ class TestDesignSolve:
             DesignProblem(n=2, a=np.ones(2), fixed=((1, 2, 0.5),), free=((1, 2),))
         with pytest.raises(ValueError):
             DesignProblem(n=2, a=np.ones(2), fixed=(), free=((3, 1),))
+
+    @pytest.mark.parametrize(
+        "fixed, free",
+        [(((1, 2.9, -2.0),), ()), (((True, 3, 1.0),), ()), ((), ((2.5, 1),)),
+         ((), ((np.True_, 2),)), ((), ((1, float("nan")),)), ((), ((1, np.inf),))],
+    )
+    def test_positions_must_be_integers(self, fixed, free):
+        with pytest.raises(ValueError, match="integers"):
+            DesignProblem(n=3, a=np.ones(3), fixed=fixed, free=free)
+
+    def test_integral_positions_of_any_number_type_are_kept(self):
+        problem = DesignProblem(n=3, a=np.ones(3), fixed=((1.0, np.int64(2), 0.5),),
+                                free=((np.float32(3), 1),))
+        assert problem.fixed == ((1, 2, 0.5),) and problem.free == ((3, 1),)
+        assert all(type(k) is int for k in problem.fixed[0][:2] + problem.free[0])
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -35,10 +35,12 @@ from netgames.equilibrium import (
     FACTOR_SOLVE_MIN_N,
     PROOF_MIN_N,
     RCOND_MIN,
-    _gate_proven,
+    _WIDE_B,
+    _gate_factor,
     _inverse,
     solve_linear,
 )
+from netgames.rationality import _residual_for
 
 EX3_G = np.array(
     [
@@ -204,7 +206,7 @@ class TestSolveLinear:
         x_true = rng.uniform(-1.0, 1.0, n)
         b = m @ x_true
         target = 1e-10 * (1.0 + np.max(np.abs(b)))
-        x = solve_linear(m, b, target)
+        x = solve_linear(m, b, 1e-10)
         assert np.max(np.abs(b - m @ x)) <= target
         assert np.max(np.abs(x - x_true)) <= 1e-5
 
@@ -230,13 +232,12 @@ class TestSolveLinear:
         # monotone members take the proven solve and these two, one ill-conditioned, the inverse
         ms = np.concatenate([ms, -ms[[0, 3]]])
         b = np.concatenate([b, rng.uniform(-1.0, 2.0, (1, n)), [ms[8] @ rng.uniform(-1.0, 1.0, n)]])
-        target = 1e-10 * (1.0 + np.max(np.abs(b)))
         inv, rcond = _inverse(ms)
         for stack, rhs in ((ms, b), (ms, b[3]), (ms[:3], b[0])):  # per member, then broadcast
-            x, ok = solve_linear(stack, rhs, target)
+            x, ok = solve_linear(stack, rhs, 1e-10)
             assert ok.shape == (len(stack),) and ok.all()
             for k, m in enumerate(stack):
-                want = solve_linear(m, rhs if rhs.ndim == 1 else rhs[k], target)
+                want = solve_linear(m, rhs if rhs.ndim == 1 else rhs[k], 1e-10)
                 assert x[k].tobytes() == want.tobytes()
         for k in range(len(ms)):
             inv_k, rcond_k = _inverse(ms[k])
@@ -314,9 +315,9 @@ class TestSolveLinear:
         for kind, m, b in self.oracle_population():
             target = 1e-10 * (1.0 + np.max(np.abs(b)))
             gate = 1.0 / np.linalg.cond(m, 1) >= RCOND_MIN
-            verdicts.add((kind, bool(gate), _gate_proven(m)))
+            verdicts.add((kind, bool(gate), _gate_factor(m) is not None))
             try:
-                x = solve_linear(m, b, target)
+                x = solve_linear(m, b, 1e-10)
             except SingularSystem:
                 assert not gate, kind
                 continue
@@ -390,9 +391,9 @@ class TestSolveLinear:
             assert np.array_equal(m, m.T)
             target = 1e-10 * (1.0 + np.max(np.abs(b)))
             gate = 1.0 / np.linalg.cond(m, 1) >= RCOND_MIN
-            verdicts.add((kind, bool(gate), _gate_proven(m)))
+            verdicts.add((kind, bool(gate), _gate_factor(m) is not None))
             try:
-                x = solve_linear(m, b, target)
+                x = solve_linear(m, b, 1e-10)
             except SingularSystem:
                 assert not gate, kind
                 continue
@@ -452,8 +453,8 @@ class TestSolveLinear:
                           (1.01 * shift, True)):
             m = np.eye(n)
             m[-1, -1] = t
-            assert _gate_proven(m) is proven
-            assert _gate_proven(-m) is False
+            assert (_gate_factor(m) is not None) is proven
+            assert (_gate_factor(-m) is not None) is False
 
     def test_stack_member_with_an_overflowing_inverse_warns_nothing(self):
         # the second row is subnormal: LU succeeds, the inverse holds inf
@@ -473,7 +474,7 @@ class TestSolveLinear:
         stack = np.stack([np.eye(2), small])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _gate_proven(large)
+            assert _gate_factor(large) is not None
             for m in (small, large):
                 b = np.ones(m.shape[-1])
                 assert np.max(np.abs(b - m @ solve_linear(m, b, 1e-10))) <= 1e-10
@@ -497,20 +498,79 @@ class TestSolveLinear:
             m = 1e307 * (q * np.logspace(0, -k, n)) @ p.T
             m = (m + m.T) / 2 if symmetric else m
             b = 1e306 * rng.uniform(-1.0, 1.0, n)
-            target = rel * (1.0 + np.max(np.abs(b)))
-            twin = (np.ldexp(m, -1000), np.ldexp(b, -1000), np.ldexp(target, -1000))
+            twin = (np.ldexp(m, -1000), np.ldexp(b, -1000), rel)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 if not solves:
-                    for system in ((m, b, target), twin):
+                    for system in ((m, b, rel), twin):
                         with pytest.raises(SingularSystem, match="refinement"):
                             solve_linear(*system)
                     continue
-                x = solve_linear(m, b, target)
+                x = solve_linear(m, b, rel)
                 assert x.tobytes() == solve_linear(*twin).tobytes()
-                xs, ok = solve_linear(np.stack([m, m]), b, target)
+                xs, ok = solve_linear(np.stack([m, m]), b, rel)
             assert ok.all() and xs[0].tobytes() == xs[1].tobytes() == x.tobytes()
             assert np.log2(np.max(np.abs(m))) + np.log2(np.sum(np.abs(x))) > 1024
+
+
+# Two games whose n ||a||_inf passes _WIDE_B.  In the first (kappa_1(I+G) ~ 1.2) the
+# unscaled Mx - a of the result overflows; in the second (kappa_1 ~ 142) so do the partial
+# sums of M^-1 b when M and b share one power-of-two scale.
+WIDE_GAMES = {
+    "overflowing residual": ([[0.0, 10.9], [10.9, 0.0]], [-1.683e308, 1.683e308]),
+    "overflowing solve": ([[0.0, 10.9, -10.9], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                          [1.0, 1.7e307, 1.7e307]),
+}
+
+
+class TestWideGames:
+    """Games past _WIDE_B: solved and judged through one power-of-two scaling."""
+
+    def test_residual_is_finite_and_revalidated_bit_for_bit(self):
+        game = lq(*WIDE_GAMES["overflowing residual"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eq = solve_ne_interior(game)
+            residual = _residual_for(game, eq)[0]
+        np.testing.assert_allclose(eq.x.x, [1.7e307, -1.7e307], rtol=1e-15)
+        assert 0.0 < eq.stationarity_residual <= 1e-10 * (1.0 + 1.683e308)
+        assert residual == eq.stationarity_residual
+
+    @pytest.mark.parametrize("which", ["ne", "social"])
+    def test_solve_meets_its_target(self, which):
+        # independent oracle: numpy's LU solve of the system scaled by 2^-1020
+        game = lq(*WIDE_GAMES["overflowing solve"])
+        m, a = np.eye(3) + game.adjacency.g, game.a
+        m = m + game.adjacency.g.T if which == "social" else m
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eq = (solve_ne_interior if which == "ne" else solve_social_interior)(game)
+        assert eq.stationarity_residual <= 1e-10 * (1.0 + 1.7e307)
+        ref = np.ldexp(np.linalg.solve(m, np.ldexp(a, -1020)), 1020)
+        assert np.max(np.abs(eq.x.x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("case", [*WIDE_GAMES, *range(12)])
+    def test_scaled_twins_solve_bit_for_bit(self, case):
+        # a scaled by s = 2^k, from s ||a||_inf >= 2^20 up past _WIDE_B (to the game's own a
+        # for the two wide games): solve_ne_interior(G, s a).x is s x, bit for bit
+        if isinstance(case, str):
+            g, a = (np.array(v) for v in WIDE_GAMES[case])
+            top = 0
+        else:
+            rng = np.random.default_rng(2800 + case)
+            n = int(rng.integers(2, 9))
+            g = rng.normal(size=(n, n)) * (0.5 / np.sqrt(n))
+            np.fill_diagonal(g, 0.0)
+            a = rng.uniform(-1.0, 2.0, n)
+            top = 1022 - np.frexp(np.max(np.abs(a)))[1]  # s ||a||_inf < 2^1022
+        low = 21 - np.frexp(np.max(np.abs(a)))[1]
+        assert np.max(np.abs(np.ldexp(a, top))) > _WIDE_B / len(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = solve_ne_interior(lq(g, np.ldexp(a, low))).x.x
+            for k in range(low + 1, top + 1):
+                got = solve_ne_interior(lq(g, np.ldexp(a, k))).x.x
+                assert got.tobytes() == np.ldexp(x, k - low).tobytes(), k
 
 
 class TestSolveVi:

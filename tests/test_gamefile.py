@@ -118,6 +118,20 @@ def test_problem_validation_diagnostics():
         parse_problem('{"n": 2, "a": [1, 1], "fixed": [[1, 2]], "free": []}')
 
 
+@pytest.mark.parametrize(
+    "fixed, free, entry",
+    [([[1, 2.9, -2.0], [True, 3, 1.0]], [[2.5, 1], [3, 2]], r"fixed entry \[1, 2\.9, -2\.0\]"),
+     ([[True, 3, 1.0]], [], r"fixed entry \[True, 3, 1\.0\]"),
+     ([], [[2.5, 1], [3, 2]], r"free entry \[2\.5, 1\]")],
+)
+def test_problem_positions_must_be_integers(tmp_path, fixed, free, entry):
+    # int() coercion used to load these as other positions, silently
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"n": 3, "a": [1.0, 2.0, 3.0], "fixed": fixed, "free": free}))
+    with pytest.raises(GameFileError, match=entry):
+        load_problem(path)
+
+
 def test_pattern_loader(tmp_path):
     path = tmp_path / "pattern.json"
     path.write_text('{"n": 2, "g": [[0.0, 1.0], [0.0, 0.0]]}')

@@ -21,6 +21,7 @@ from netgames import (
     solve_social_pg,
     solve_vi,
 )
+from netgames.games import _slack
 
 EX3_G = np.array(
     [
@@ -189,3 +190,19 @@ def test_pg_social_result_revalidated_from_the_game():
     eq = solve_social_pg(pg)
     report = ir_check(pg, eq)
     assert len(report.players) == 2
+
+
+def test_cost_margin_past_the_largest_double_admits_every_cost():
+    # ||a||_inf^2 ~ 4e320: the margin tol*||a||_inf^2 is inf, so every representable cost
+    # passes it; it is formed as (tol*||a||)*||a||, finite wherever the margin itself is
+    game = lq(np.array([[0.0, 1e10], [-1e10, 0.0]]), [1e160, 2e160])
+    eq = solve_ne_interior(game)
+    np.testing.assert_allclose(eq.x.x, np.linalg.solve(np.eye(2) + game.adjacency.g, game.a),
+                               rtol=1e-12)
+    report = ir_check(game, eq)
+    costs = [p.cost_at_eq for p in report.players]
+    assert costs == [cost_lq(game, i, eq.x) for i in (1, 2)]
+    np.testing.assert_allclose(costs, [-2.0e300, -5.0e299], rtol=1e-5)
+    assert report.all_rational
+    assert _slack(1e-8, game.a, 2) == np.inf
+    assert _slack(1e-8, np.array([1e155]), 2) == pytest.approx(1e302, rel=1e-15)
